@@ -118,6 +118,9 @@ fn run_report_has_valid_shape_with_sampling_on() {
 
 #[test]
 fn sched_counters_populate_under_the_quantum_schedule() {
+    // The quantum schedule emits span events into the process-global
+    // sink, so this test must not overlap another test's traced window.
+    let _g = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     // An explicit worker budget so the quantum-parallel path runs even
     // on a single-CPU host (where the global budget has no permits).
     let budget = JobBudget::new(2);
