@@ -232,6 +232,34 @@ impl EventQueue {
         }
         None
     }
+
+    /// Append every event due at or before `now` to `out`, leaving the
+    /// queue exactly as draining it with [`EventQueue::pop_due`] would.
+    /// Events of one due cycle come out in FIFO push order (overflow
+    /// first, see the module docs); across due cycles the order is
+    /// unspecified, which the pipeline never observes because it
+    /// drains every cycle.
+    pub fn drain_due(&mut self, now: Cycle, out: &mut Vec<u32>) {
+        while let Some(&Reverse((due, _, id))) = self.overflow.peek() {
+            if due > now {
+                break;
+            }
+            self.overflow.pop();
+            out.push(id);
+        }
+        while let Some((due, slot)) = self.wheel_min() {
+            if due > now {
+                break;
+            }
+            let bucket = &mut self.wheel[slot];
+            self.wheel_len -= bucket.len();
+            out.extend(bucket.drain(..));
+            self.occ[slot >> 6] &= !(1 << (slot & 63));
+        }
+        if now > self.base {
+            self.base = now;
+        }
+    }
 }
 
 /// The pipeline's completion scheduler: the calendar queue, or the seed
@@ -276,6 +304,24 @@ impl CompletionQueue {
                 Some(&(Reverse(due), _)) if due <= now => h.pop().map(|(_, id)| id),
                 _ => None,
             },
+        }
+    }
+
+    /// Append every event due at or before `now` to `out` (see
+    /// [`EventQueue::drain_due`]). The order within a cycle differs
+    /// between the variants and is not observable by the pipeline.
+    pub fn drain_due(&mut self, now: Cycle, out: &mut Vec<u32>) {
+        match self {
+            CompletionQueue::Wheel(q) => q.drain_due(now, out),
+            CompletionQueue::Heap(h) => {
+                while let Some(&(Reverse(due), id)) = h.peek() {
+                    if due > now {
+                        break;
+                    }
+                    h.pop();
+                    out.push(id);
+                }
+            }
         }
     }
 
@@ -393,6 +439,60 @@ mod tests {
             assert_eq!(q.pop_due(4), Some(2));
             assert_eq!(q.pop_due(9), None);
             assert_eq!(q.pop_due(10), Some(1));
+            assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn drain_due_matches_repeated_pop_due() {
+        // Dues inside the horizon, beyond it, and equal dues split
+        // across wheel and overflow: a bulk drain yields the same events
+        // in the same order as popping one at a time, and leaves the
+        // same queue behind.
+        let pushes = |q: &mut EventQueue| {
+            q.push(100, 1);
+            q.push(3, 2);
+            q.push(3, 3);
+            q.push(70, 4);
+        };
+        let (mut one, mut bulk) = (EventQueue::new(64), EventQueue::new(64));
+        pushes(&mut one);
+        pushes(&mut bulk);
+        let mut out = Vec::new();
+        for now in [0, 3, 41, 70, 99, 100] {
+            let expected = drain(&mut one, now);
+            out.clear();
+            bulk.drain_due(now, &mut out);
+            assert_eq!(out, expected, "cycle {now}");
+            assert_eq!(bulk.len(), one.len());
+            assert_eq!(bulk.next_due(), one.next_due());
+            if now == 41 {
+                // The window now starts at 41: due 100 joins the wheel
+                // and ties with the overflow entry pushed first.
+                one.push(100, 5);
+                bulk.push(100, 5);
+            }
+        }
+        assert!(bulk.is_empty());
+    }
+
+    #[test]
+    fn completion_queue_variants_drain_the_same_set() {
+        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
+            let mut q = CompletionQueue::new(kind, 64);
+            for (due, id) in [(5, 1), (5, 2), (900, 3), (6, 4), (5, 5)] {
+                q.push(due, id);
+            }
+            let mut out = Vec::new();
+            q.drain_due(4, &mut out);
+            assert!(out.is_empty());
+            q.drain_due(5, &mut out);
+            out.sort_unstable();
+            assert_eq!(out, vec![1, 2, 5], "{kind:?}");
+            out.clear();
+            q.drain_due(1000, &mut out);
+            out.sort_unstable();
+            assert_eq!(out, vec![3, 4], "{kind:?}");
             assert!(q.is_empty());
         }
     }

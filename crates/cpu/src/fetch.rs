@@ -58,13 +58,21 @@ pub fn select_threads_into(
     picked: &mut Vec<usize>,
 ) {
     let n = infos.len();
-    // Runnable threads in round-robin order starting at the cursor.
     picked.clear();
-    picked.extend(
-        (0..n)
-            .map(|i| (rr_cursor + i) % n)
-            .filter(|&t| infos[t].runnable),
-    );
+    if n == 0 {
+        return;
+    }
+    // Runnable threads in round-robin order starting at the cursor.
+    let mut t = rr_cursor % n;
+    for _ in 0..n {
+        if infos[t].runnable {
+            picked.push(t);
+        }
+        t += 1;
+        if t == n {
+            t = 0;
+        }
+    }
     match policy {
         FetchPolicy::RoundRobin => {}
         FetchPolicy::ICount => {

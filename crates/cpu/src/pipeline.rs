@@ -18,14 +18,16 @@ use crate::config::CpuConfig;
 use crate::events::CompletionQueue;
 use crate::fetch::{select_threads_into, ThreadFetchInfo};
 use crate::predictor::Predictor;
-use crate::rename::{PhysReg, RenameFile};
+use crate::rename::{PhysReg, RenameFile, READY};
 use crate::stats::CpuStats;
 use crate::Cycle;
-use medsim_isa::{Inst, MomOp, Op, QueueKind};
+use medsim_isa::{Inst, IntOp, MomOp, Op, OpKind, QueueKind};
 use medsim_mem::{AccessKind, MemReply, MemRequest, MemSystem, Stall, StreamReply, StreamRequest};
 use medsim_workloads::trace::{InstSource, InstStream, SimdIsa, StreamSource};
 use std::collections::VecDeque;
 
+/// Decode-buffer slots per thread (a power of two: the ring wraps with
+/// a mask).
 const DECODE_BUF_CAP: usize = 16;
 const ICACHE_LINE: u64 = 32;
 
@@ -168,17 +170,103 @@ struct VFetchEntry {
     early: bool,
 }
 
-#[derive(Debug)]
+/// One in-flight instruction, in its thread's slot of the
+/// ROB-indexed slab (see [`Cpu::slab`]). The values later stages need
+/// are computed once at dispatch.
+#[derive(Debug, Clone)]
 struct DynInst {
     inst: Inst,
     tid: usize,
     dst: Option<PhysReg>,
     prev_dst: Option<PhysReg>,
-    srcs: [Option<PhysReg>; 4],
+    /// Renamed sources, padded with [`READY`]; the queue entry carries
+    /// a copy (see [`QueueEntry`]).
+    srcs: [PhysReg; 4],
     state: InstState,
     mem_elems_issued: u8,
     mem_done: Cycle,
     mispredicted: bool,
+    /// [`Inst::equivalent_count`].
+    equiv: u64,
+    /// [`Inst::kind`].
+    kind: OpKind,
+}
+
+impl DynInst {
+    /// Filler for slab slots no instruction occupies yet.
+    fn vacant() -> Self {
+        DynInst {
+            inst: Inst::new(Op::Int(IntOp::Add)),
+            tid: 0,
+            dst: None,
+            prev_dst: None,
+            srcs: [READY; 4],
+            state: InstState::Done,
+            mem_elems_issued: 0,
+            mem_done: 0,
+            mispredicted: false,
+            equiv: 1,
+            kind: OpKind::Integer,
+        }
+    }
+}
+
+/// An issue-queue entry: the slab slot plus the renamed sources, so the
+/// oldest-first scans test readiness against the flat ready array
+/// without touching the slab. Every queued instruction is
+/// [`InstState::InQueue`].
+#[derive(Debug, Clone, Copy)]
+struct QueueEntry {
+    id: u32,
+    srcs: [PhysReg; 4],
+}
+
+/// A thread's decode buffer: a fixed ring of [`DECODE_BUF_CAP`]
+/// instructions. Fetch only selects a thread with room for a whole
+/// fetch group, so the ring never overflows.
+struct DecodeRing {
+    buf: [Inst; DECODE_BUF_CAP],
+    head: usize,
+    len: usize,
+}
+
+impl DecodeRing {
+    fn new() -> Self {
+        DecodeRing {
+            buf: [Inst::new(Op::Int(IntOp::Add)); DECODE_BUF_CAP],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    #[inline]
+    fn front(&self) -> Option<&Inst> {
+        (self.len > 0).then(|| &self.buf[self.head])
+    }
+
+    #[inline]
+    fn pop_front(&mut self) {
+        debug_assert!(self.len > 0, "pop from an empty decode buffer");
+        self.head = (self.head + 1) & (DECODE_BUF_CAP - 1);
+        self.len -= 1;
+    }
+
+    #[inline]
+    fn push_back(&mut self, inst: Inst) {
+        debug_assert!(self.len < DECODE_BUF_CAP, "decode buffer overflow");
+        self.buf[(self.head + self.len) & (DECODE_BUF_CAP - 1)] = inst;
+        self.len += 1;
+    }
 }
 
 struct ThreadCtx {
@@ -196,12 +284,16 @@ struct ThreadCtx {
     /// schedule pulls, just buffered earlier.
     pending: VecDeque<Vec<Inst>>,
     lookahead: Option<Inst>,
-    decode_buf: VecDeque<Inst>,
+    decode_buf: DecodeRing,
     fetch_blocked_until: Cycle,
     blocked_on_branch: Option<u32>,
     last_fetch_line: u64,
     exhausted: bool,
-    in_flight: usize,
+    /// Ring position of the oldest in-flight instruction in this
+    /// thread's ROB (its slab slots start at `tid × rob_per_thread`).
+    rob_head: usize,
+    /// In-flight instructions (dispatched, not yet committed).
+    rob_len: usize,
     icount: usize,
     ocount: u64,
     fetched_vector_last: bool,
@@ -215,12 +307,13 @@ impl ThreadCtx {
             block_pos: 0,
             pending: VecDeque::new(),
             lookahead: None,
-            decode_buf: VecDeque::new(),
+            decode_buf: DecodeRing::new(),
             fetch_blocked_until: 0,
             blocked_on_branch: None,
             last_fetch_line: u64::MAX,
             exhausted: true,
-            in_flight: 0,
+            rob_head: 0,
+            rob_len: 0,
             icount: 0,
             ocount: 0,
             fetched_vector_last: false,
@@ -325,13 +418,19 @@ pub struct Cpu<M: MemPort = MemSystem> {
     now: Cycle,
     mem: M,
     rename: RenameFile,
-    slab: Vec<Option<DynInst>>,
-    free_slots: Vec<u32>,
-    queues: [Vec<u32>; 4],
-    robs: Vec<VecDeque<u32>>,
+    /// Every in-flight instruction, `threads × rob_per_thread` slots:
+    /// thread `tid`'s ROB is the ring of slots `tid × rob_per_thread
+    /// ..` with head and length in its [`ThreadCtx`], so an
+    /// instruction's slot (its id in the queues and the completion
+    /// scheduler) is fixed at dispatch and commit frees it by advancing
+    /// the head.
+    slab: Vec<DynInst>,
+    queues: [Vec<QueueEntry>; 4],
     threads: Vec<ThreadCtx>,
     predictors: Vec<Predictor>,
     completions: CompletionQueue,
+    /// Scratch for the completions due this cycle (reused every cycle).
+    due: Vec<u32>,
     stats: CpuStats,
     rr_cursor: usize,
     media_unit_free: Cycle,
@@ -380,13 +479,12 @@ impl<M: MemPort> Cpu<M> {
             rename,
             mem,
             now: 0,
-            slab: Vec::new(),
-            free_slots: Vec::new(),
+            slab: vec![DynInst::vacant(); threads * config.sizing.rob_per_thread],
             queues: Default::default(),
-            robs: (0..threads).map(|_| VecDeque::new()).collect(),
             threads: (0..threads).map(|_| ThreadCtx::empty()).collect(),
             predictors: (0..threads).map(|_| Predictor::new(12)).collect(),
             completions: CompletionQueue::new(config.scheduler, config.wheel_slots),
+            due: Vec::new(),
             rr_cursor: 0,
             media_unit_free: 0,
             int_div_free: 0,
@@ -502,7 +600,7 @@ impl<M: MemPort> Cpu<M> {
     #[must_use]
     pub fn thread_idle(&self, tid: usize) -> bool {
         let t = &self.threads[tid];
-        t.exhausted && t.lookahead.is_none() && t.decode_buf.is_empty() && t.in_flight == 0
+        t.exhausted && t.lookahead.is_none() && t.decode_buf.is_empty() && t.rob_len == 0
     }
 
     /// Whether every context is idle.
@@ -680,15 +778,14 @@ impl<M: MemPort> Cpu<M> {
         // into; a collision with any ready load's set parks the core
         // (order-agnostic, so conservative — the load may well issue
         // first or the victim may be a different way).
-        let qi = Self::queue_idx(QueueKind::Mem);
+        let qi = queue_idx(QueueKind::Mem);
         let mut evict_sets: Vec<u64> = Vec::new();
-        for &id in &self.queues[qi] {
-            let d = self.slab[id as usize]
-                .as_ref()
-                .expect("queued instruction exists");
-            if d.state != InstState::InQueue || !self.sources_ready(d) {
+        for e in &self.queues[qi] {
+            self.debug_check_entry(e);
+            if !self.rename.sources_ready(&e.srcs) {
                 continue;
             }
+            let d = &self.slab[e.id as usize];
             let Some(mem) = d.inst.mem else {
                 continue;
             };
@@ -708,13 +805,11 @@ impl<M: MemPort> Cpu<M> {
         if !evict_sets.is_empty() {
             // Second pass only when a store miss is in play (rare):
             // check every ready load element's set for a collision.
-            for &id in &self.queues[qi] {
-                let d = self.slab[id as usize]
-                    .as_ref()
-                    .expect("queued instruction exists");
-                if d.state != InstState::InQueue || !self.sources_ready(d) {
+            for e in &self.queues[qi] {
+                if !self.rename.sources_ready(&e.srcs) {
                     continue;
                 }
+                let d = &self.slab[e.id as usize];
                 let Some(mem) = d.inst.mem else {
                     continue;
                 };
@@ -736,9 +831,7 @@ impl<M: MemPort> Cpu<M> {
         // slide entries into the window.
         if self.config.decouple {
             for e in &self.vfetch {
-                let d = self.slab[e.id as usize]
-                    .as_ref()
-                    .expect("vfetch entry exists");
+                let d = &self.slab[e.id as usize];
                 if d.state != InstState::InQueue {
                     continue;
                 }
@@ -922,13 +1015,13 @@ impl<M: MemPort> Cpu<M> {
     /// [`Cpu::dispatch`] for the fast-forward path.
     fn dispatch_stall_profile(&self) -> (u64, u64, u64) {
         let (mut rob, mut queue, mut reg) = (0u64, 0u64, 0u64);
-        for (tid, t) in self.threads.iter().enumerate() {
+        for t in &self.threads {
             let Some(inst) = t.decode_buf.front() else {
                 continue;
             };
-            if self.robs[tid].len() >= self.config.sizing.rob_per_thread {
+            if t.rob_len >= self.config.sizing.rob_per_thread {
                 rob += 1;
-            } else if self.queues[Self::queue_idx(inst.queue())].len()
+            } else if self.queues[queue_idx(inst.queue())].len()
                 >= self.config.sizing.queue_entries
             {
                 queue += 1;
@@ -958,27 +1051,30 @@ impl<M: MemPort> Cpu<M> {
     // ---- pipeline phases -------------------------------------------------
 
     fn complete(&mut self) -> usize {
-        let mut processed = 0;
-        while let Some(id) = self.completions.pop_due(self.now) {
-            processed += 1;
-            let d = self.slab[id as usize]
-                .as_mut()
-                .expect("completing instruction exists");
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        // Every event due this cycle at once: completions only set
+        // ready bits, unblock fetch and flush run-ahead state, none of
+        // which depends on the order within the cycle (the heap and
+        // wheel schedulers order ties differently and agree bitwise).
+        self.completions.drain_due(self.now, &mut due);
+        for &id in &due {
+            let d = &mut self.slab[id as usize];
             debug_assert_eq!(d.state, InstState::Executing);
             d.state = InstState::Done;
             let tid = d.tid;
-            let dst = d.dst;
             let mispredicted = d.mispredicted;
-            if let Some(p) = dst {
+            if let Some(p) = d.dst {
                 self.rename.mark_ready(p);
                 // Waiters anywhere in the queues may now be issuable:
                 // invalidate the ready cursors.
                 self.ready_event = true;
             }
             // Branch resolution unblocks fetch (plus redirect penalty).
-            if mispredicted && self.threads[tid].blocked_on_branch == Some(id) {
-                self.threads[tid].blocked_on_branch = None;
-                self.threads[tid].fetch_blocked_until = self.now + self.config.mispredict_penalty;
+            let t = &mut self.threads[tid];
+            if mispredicted && t.blocked_on_branch == Some(id) {
+                t.blocked_on_branch = None;
+                t.fetch_blocked_until = self.now + self.config.mispredict_penalty;
                 // A redirect discards the thread's run-ahead state: the
                 // buffered vector data is stale, so its loads re-issue
                 // on the demand path.
@@ -987,73 +1083,69 @@ impl<M: MemPort> Cpu<M> {
                 }
             }
         }
+        let processed = due.len();
+        self.due = due;
         processed
     }
 
     fn commit(&mut self) -> usize {
         let n = self.threads.len();
+        let rob = self.config.sizing.rob_per_thread;
         let mut committed = 0;
         let mut budget = self.config.commit_width;
         // Rotate the starting thread for fairness.
-        for off in 0..n {
-            let tid = (self.rr_cursor + off) % n;
-            while budget > 0 {
-                let Some(&head) = self.robs[tid].front() else {
-                    break;
-                };
-                let done = matches!(
-                    self.slab[head as usize]
-                        .as_ref()
-                        .expect("rob entry exists")
-                        .state,
-                    InstState::Done
-                );
-                if !done {
+        let mut tid = self.rr_cursor;
+        for _ in 0..n {
+            let t = &mut self.threads[tid];
+            while budget > 0 && t.rob_len > 0 {
+                // Read the head in place; its slot is free once the
+                // head moves past it.
+                let d = &self.slab[tid * rob + t.rob_head];
+                if d.state != InstState::Done {
                     break;
                 }
-                self.robs[tid].pop_front();
-                let d = self.slab[head as usize].take().expect("rob entry exists");
-                self.free_slots.push(head);
                 if let Some(prev) = d.prev_dst {
                     self.rename.release(prev);
                 }
-                let t = &mut self.threads[tid];
-                t.in_flight -= 1;
-                let equiv = d.inst.equivalent_count();
-                self.stats.threads[tid].committed += 1;
-                self.stats.threads[tid].committed_equiv += equiv;
-                self.stats.record_commit_kind(d.inst.kind(), equiv);
+                let ts = &mut self.stats.threads[tid];
+                ts.committed += 1;
+                ts.committed_equiv += d.equiv;
                 if d.inst.branch.is_some() {
-                    self.stats.threads[tid].branches += 1;
-                    if d.mispredicted {
-                        self.stats.threads[tid].mispredicts += 1;
-                    }
+                    ts.branches += 1;
+                    ts.mispredicts += u64::from(d.mispredicted);
                 }
+                self.stats.record_commit_kind(d.kind, d.equiv);
+                t.rob_head += 1;
+                if t.rob_head == rob {
+                    t.rob_head = 0;
+                }
+                t.rob_len -= 1;
                 committed += 1;
                 budget -= 1;
+            }
+            tid += 1;
+            if tid == n {
+                tid = 0;
             }
         }
         committed
     }
 
-    fn sources_ready(&self, d: &DynInst) -> bool {
-        d.srcs.iter().flatten().all(|&p| self.rename.is_ready(p))
-    }
-
-    fn queue_idx(q: QueueKind) -> usize {
-        match q {
-            QueueKind::Int => 0,
-            QueueKind::Mem => 1,
-            QueueKind::Fp => 2,
-            QueueKind::Simd => 3,
-        }
+    /// Debug-build check of an issue-queue entry against its slab slot:
+    /// queued instructions are always waiting to issue, and the entry's
+    /// sources are the ones renamed at dispatch.
+    #[inline]
+    fn debug_check_entry(&self, e: &QueueEntry) {
+        let d = &self.slab[e.id as usize];
+        debug_assert_eq!(d.state, InstState::InQueue, "queued instruction not InQueue");
+        debug_assert_eq!(d.srcs, e.srcs, "queue entry sources diverge from the slab");
     }
 
     /// Execution latency of a non-memory instruction, plus any
     /// unpipelined-unit occupancy bookkeeping.
-    fn exec_latency(&mut self, inst: &Inst) -> Cycle {
-        use medsim_isa::{FpOp, IntOp};
-        match inst.op {
+    fn exec_latency(&mut self, op: Op, slen: u8) -> Cycle {
+        use medsim_isa::FpOp;
+        match op {
             Op::Int(o) => match o {
                 IntOp::Mul | IntOp::Mulh => self.config.lat_int_mul,
                 IntOp::Div | IntOp::Rem => {
@@ -1086,13 +1178,18 @@ impl<M: MemPort> Cpu<M> {
                 } else {
                     1
                 };
-                let occupancy = Cycle::from(inst.slen)
-                    .div_ceil(self.config.vector_lanes as u64)
-                    .max(1);
-                occupancy + base - 1
+                self.media_occupancy(slen) + base - 1
             }
             Op::Mem(_) => unreachable!("memory ops issue via issue_mem"),
         }
+    }
+
+    /// Cycles a MOM stream of `slen` elements holds the media unit.
+    #[inline]
+    fn media_occupancy(&self, slen: u8) -> Cycle {
+        Cycle::from(slen)
+            .div_ceil(self.config.vector_lanes as u64)
+            .max(1)
     }
 
     /// Issue from one of the non-memory queues, oldest first.
@@ -1101,109 +1198,95 @@ impl<M: MemPort> Cpu<M> {
     /// of the queue in place (no scratch `Vec`, no O(n²) `retain`), and
     /// the scan resumes at [`Cpu::scan_from`] — the prefix before it is
     /// known to be waiting on source registers, which can only change
-    /// through a completion (tracked by `ready_event`).
+    /// through a completion (tracked by `ready_event`). Readiness is
+    /// tested on the entry's own sources; only entries that are ready
+    /// touch the slab.
     fn issue_queue(&mut self, q: QueueKind, width: usize) -> usize {
-        let qi = Self::queue_idx(q);
+        let qi = queue_idx(q);
         let len = self.queues[qi].len();
         let start = self.scan_from[qi].min(len);
         if start >= len || width == 0 {
             return 0;
         }
-        let mom_isa = self.config.isa == SimdIsa::Mom;
+        // The MOM media unit is a single occupied resource.
+        let media_gated = q == QueueKind::Simd && self.config.isa == SimdIsa::Mom;
+        let mut queue = std::mem::take(&mut self.queues[qi]);
         let mut issued = 0usize;
         let mut write = start;
         let mut pos = start;
         // First kept entry that is ready but resource-blocked (the scan
         // must come back to it even without a new ready event).
         let mut cursor_stop: Option<usize> = None;
-        while pos < len {
-            if issued >= width {
-                break;
-            }
-            let id = self.queues[qi][pos];
-            let d = self.slab[id as usize]
-                .as_ref()
-                .expect("queued instruction exists");
-            if d.state != InstState::InQueue || !self.sources_ready(d) {
-                self.queues[qi][write] = id;
+        while pos < len && issued < width {
+            let e = queue[pos];
+            pos += 1;
+            self.debug_check_entry(&e);
+            if !self.rename.sources_ready(&e.srcs) {
+                queue[write] = e;
                 write += 1;
-                pos += 1;
                 continue;
             }
-            // The MOM media unit is a single occupied resource.
-            let is_stream = matches!(d.inst.op, Op::Mom(_));
-            if q == QueueKind::Simd && mom_isa && is_stream && self.media_unit_free > self.now {
+            let d = &self.slab[e.id as usize];
+            let (op, slen, tid, equiv) = (d.inst.op, d.inst.slen, d.tid, d.equiv);
+            let is_stream = media_gated && matches!(op, Op::Mom(_));
+            if is_stream && self.media_unit_free > self.now {
                 cursor_stop.get_or_insert(write);
                 self.issue_blocked_ready = true;
-                self.queues[qi][write] = id;
+                queue[write] = e;
                 write += 1;
-                pos += 1;
                 continue;
             }
-            let inst = d.inst;
-            let tid = d.tid;
-            let lat = self.exec_latency(&inst);
-            if q == QueueKind::Simd && mom_isa && is_stream {
-                let occupancy = Cycle::from(inst.slen)
-                    .div_ceil(self.config.vector_lanes as u64)
-                    .max(1);
-                self.media_unit_free = self.now + occupancy;
+            let lat = self.exec_latency(op, slen);
+            if is_stream {
+                self.media_unit_free = self.now + self.media_occupancy(slen);
             }
-            let d = self.slab[id as usize]
-                .as_mut()
-                .expect("queued instruction exists");
-            d.state = InstState::Executing;
-            self.completions.push(self.now + lat, id);
-            self.threads[tid].icount -= 1;
-            self.threads[tid].ocount -= inst.equivalent_count();
-            issued += 1;
-            pos += 1; // issued: hole closed by the compaction below
+            self.slab[e.id as usize].state = InstState::Executing;
+            self.completions.push(self.now + lat, e.id);
+            let t = &mut self.threads[tid];
+            t.icount -= 1;
+            t.ocount -= equiv;
+            issued += 1; // hole closed by the compaction below
         }
         // Resume point: the first ready-but-blocked survivor, else the
         // first unexamined entry (which lands at `write` after the tail
         // is compacted down).
         let resume = cursor_stop.unwrap_or(write);
-        while pos < len {
-            self.queues[qi][write] = self.queues[qi][pos];
-            write += 1;
-            pos += 1;
-        }
-        self.queues[qi].truncate(write);
+        queue.copy_within(pos..len, write);
+        queue.truncate(write + (len - pos));
+        self.queues[qi] = queue;
         self.scan_from[qi] = resume;
         issued
     }
 
     /// Issue element-group accesses from the memory queue. Same
-    /// in-place compaction and ready-cursor scheme as
+    /// in-place compaction, ready-cursor and entry-readiness scheme as
     /// [`Cpu::issue_queue`]; partially issued stream accesses stay at
     /// the front and pin the cursor (ports free up over time, not
     /// through ready events).
     fn issue_mem(&mut self) -> usize {
-        let qi = Self::queue_idx(QueueKind::Mem);
+        let qi = queue_idx(QueueKind::Mem);
         let len = self.queues[qi].len();
         let start = self.scan_from[qi].min(len);
         if start >= len {
             return 0;
         }
+        let mut queue = std::mem::take(&mut self.queues[qi]);
         let mut slots = self.config.mem_issue;
         let mut issued_count = 0;
         let mut write = start;
         let mut pos = start;
         let mut cursor_stop: Option<usize> = None;
-        while pos < len {
-            if slots == 0 {
-                break;
-            }
-            let id = self.queues[qi][pos];
-            let d = self.slab[id as usize]
-                .as_ref()
-                .expect("queued instruction exists");
-            if d.state != InstState::InQueue || !self.sources_ready(d) {
-                self.queues[qi][write] = id;
+        while pos < len && slots > 0 {
+            let e = queue[pos];
+            pos += 1;
+            self.debug_check_entry(&e);
+            if !self.rename.sources_ready(&e.srcs) {
+                queue[write] = e;
                 write += 1;
-                pos += 1;
                 continue;
             }
+            let id = e.id;
+            let d = &self.slab[id as usize];
             let Some(mem) = d.inst.mem else {
                 // Dispatch routes an instruction to the memory queue
                 // only for memory opcodes, and every constructor of
@@ -1211,28 +1294,26 @@ impl<M: MemPort> Cpu<M> {
                 unreachable!("memory-queue instruction without an access: {:?}", d.inst)
             };
             let tid = d.tid;
+            let equiv = d.equiv;
             let kind = access_kind(&d.inst);
             let elems_before = d.mem_elems_issued;
+            let mut mem_done = d.mem_done;
             // Decoupled drain: the run-ahead unit already issued the
             // whole stream, so execute consumes the buffered replies
             // in order — one issue slot, no memory port.
             if self.config.decouple && elems_before == mem.count {
-                let equiv = d.inst.equivalent_count();
-                let mem_done = d.mem_done;
-                let d = self.slab[id as usize].as_mut().expect("exists");
-                d.state = InstState::Executing;
+                self.slab[id as usize].state = InstState::Executing;
                 self.completions.push(mem_done.max(self.now + 1), id);
-                self.threads[tid].icount -= 1;
-                self.threads[tid].ocount -= equiv;
+                let t = &mut self.threads[tid];
+                t.icount -= 1;
+                t.ocount -= equiv;
                 self.vfetch_forget(id);
                 self.stats.vfetch_drains += 1;
                 issued_count += 1;
                 slots -= 1;
-                pos += 1;
                 continue;
             }
             let mut elems = elems_before;
-            let mut mem_done = d.mem_done;
             if self.config.stream_batch && mem.count > 1 {
                 // Batched path: hand the whole element group for this
                 // cycle to the memory system in one call (identical
@@ -1287,7 +1368,7 @@ impl<M: MemPort> Cpu<M> {
                     }
                 }
             }
-            let d = self.slab[id as usize].as_mut().expect("exists");
+            let d = &mut self.slab[id as usize];
             d.mem_elems_issued = elems;
             d.mem_done = mem_done;
             if elems > elems_before {
@@ -1296,8 +1377,9 @@ impl<M: MemPort> Cpu<M> {
             if elems == mem.count {
                 d.state = InstState::Executing;
                 self.completions.push(mem_done.max(self.now + 1), id);
-                self.threads[tid].icount -= 1;
-                self.threads[tid].ocount -= d.inst.equivalent_count();
+                let t = &mut self.threads[tid];
+                t.icount -= 1;
+                t.ocount -= equiv;
                 // Fully issued: drop from the queue (hole compacted).
                 // A partially run-ahead stream finished on the demand
                 // path leaves the access queue here.
@@ -1309,18 +1391,14 @@ impl<M: MemPort> Cpu<M> {
                 // make sure the next scan starts at or before it.
                 cursor_stop.get_or_insert(write);
                 self.issue_blocked_ready = true;
-                self.queues[qi][write] = id;
+                queue[write] = e;
                 write += 1;
             }
-            pos += 1;
         }
         let resume = cursor_stop.unwrap_or(write);
-        while pos < len {
-            self.queues[qi][write] = self.queues[qi][pos];
-            write += 1;
-            pos += 1;
-        }
-        self.queues[qi].truncate(write);
+        queue.copy_within(pos..len, write);
+        queue.truncate(write + (len - pos));
+        self.queues[qi] = queue;
         self.scan_from[qi] = resume;
         issued_count
     }
@@ -1345,9 +1423,7 @@ impl<M: MemPort> Cpu<M> {
         let mut issued_total = 0u64;
         for i in 0..window {
             let e = self.vfetch[i];
-            let d = self.slab[e.id as usize]
-                .as_ref()
-                .expect("vfetch entry exists");
+            let d = &self.slab[e.id as usize];
             debug_assert_eq!(
                 d.state,
                 InstState::InQueue,
@@ -1371,21 +1447,15 @@ impl<M: MemPort> Cpu<M> {
                     kind: AccessKind::VectorLoad,
                 },
             );
-            let d = self.slab[e.id as usize]
-                .as_mut()
-                .expect("vfetch entry exists");
+            let d = &mut self.slab[e.id as usize];
             d.mem_elems_issued += reply.issued;
             d.mem_done = d.mem_done.max(reply.done_at);
+            let stalled = d.mem_elems_issued < mem.count;
             if reply.issued > 0 {
                 self.vfetch[i].early = true;
                 issued_total += u64::from(reply.issued);
             }
-            if self.slab[e.id as usize]
-                .as_ref()
-                .expect("vfetch entry exists")
-                .mem_elems_issued
-                < mem.count
-            {
+            if stalled {
                 // Port or MSHR-headroom stall: strictly in order, so
                 // nothing younger runs ahead past this entry — and the
                 // idle fast-forward must not skip the retry cycles.
@@ -1429,9 +1499,7 @@ impl<M: MemPort> Cpu<M> {
             if e.tid != tid || !e.early {
                 continue;
             }
-            let d = self.slab[e.id as usize]
-                .as_mut()
-                .expect("vfetch entry exists");
+            let d = &mut self.slab[e.id as usize];
             debug_assert_eq!(d.state, InstState::InQueue);
             flushed += u64::from(d.mem_elems_issued);
             d.mem_elems_issued = 0;
@@ -1454,40 +1522,42 @@ impl<M: MemPort> Cpu<M> {
 
     fn dispatch(&mut self) -> usize {
         let n = self.threads.len();
+        let rob = self.config.sizing.rob_per_thread;
+        let queue_cap = self.config.sizing.queue_entries;
         let mut dispatched = 0;
         let mut budget = self.config.decode_width;
-        for off in 0..n {
-            let tid = (self.rr_cursor + off) % n;
+        let mut tid = self.rr_cursor;
+        for _ in 0..n {
+            let t = &mut self.threads[tid];
             while budget > 0 {
-                let Some(&inst) = self.threads[tid].decode_buf.front() else {
+                let Some(inst) = t.decode_buf.front() else {
                     break;
                 };
-                if self.robs[tid].len() >= self.config.sizing.rob_per_thread {
+                if t.rob_len >= rob {
                     self.stats.dispatch_rob_stalls += 1;
                     break;
                 }
-                let qi = Self::queue_idx(inst.queue());
-                if self.queues[qi].len() >= self.config.sizing.queue_entries {
+                let qi = queue_idx(inst.queue());
+                if self.queues[qi].len() >= queue_cap {
                     self.stats.dispatch_queue_stalls += 1;
                     break;
                 }
                 // Rename sources first (they must see the old mappings),
                 // then the destination.
-                let mut srcs: [Option<PhysReg>; 4] = [None; 4];
-                for (i, s) in inst.sources().enumerate() {
-                    if !s.is_zero() {
-                        srcs[i] = Some(self.rename.lookup(tid, s));
-                    }
-                }
+                let mut srcs = [
+                    self.rename.lookup_src(tid, inst.src1),
+                    self.rename.lookup_src(tid, inst.src2),
+                    self.rename.lookup_src(tid, inst.src3),
+                    READY,
+                ];
                 // MOM instructions implicitly read the stream-length
                 // register (integer r31, renamed through the int pool).
                 if let Op::Mom(o) = inst.op {
                     if o != MomOp::SetVl {
-                        srcs[3] =
-                            Some(self.rename.lookup(
-                                tid,
-                                medsim_isa::regs::int(medsim_isa::regs::STREAM_LEN_REG),
-                            ));
+                        srcs[3] = self.rename.lookup(
+                            tid,
+                            medsim_isa::regs::int(medsim_isa::regs::STREAM_LEN_REG),
+                        );
                     }
                 }
                 let (dst, prev_dst) = match inst.dst {
@@ -1500,7 +1570,6 @@ impl<M: MemPort> Cpu<M> {
                     },
                     _ => (None, None),
                 };
-                self.threads[tid].decode_buf.pop_front();
 
                 // Branch prediction at decode: a wrong prediction blocks
                 // this thread's fetch until the branch resolves.
@@ -1512,31 +1581,6 @@ impl<M: MemPort> Cpu<M> {
                         mispredicted = !self.predictors[tid].predict_indirect(inst.pc, b.target);
                     }
                 }
-
-                let d = DynInst {
-                    inst,
-                    tid,
-                    dst,
-                    prev_dst,
-                    srcs,
-                    state: InstState::InQueue,
-                    mem_elems_issued: 0,
-                    mem_done: 0,
-                    mispredicted,
-                };
-                let id = match self.free_slots.pop() {
-                    Some(slot) => {
-                        self.slab[slot as usize] = Some(d);
-                        slot
-                    }
-                    None => {
-                        self.slab.push(Some(d));
-                        (self.slab.len() - 1) as u32
-                    }
-                };
-                self.queues[qi].push(id);
-                self.robs[tid].push_back(id);
-                self.threads[tid].in_flight += 1;
                 // Stream loads also enter the decoupled vector-fetch
                 // unit's access queue (stream addresses are known at
                 // dispatch — source operands gate execute, not fetch).
@@ -1548,12 +1592,35 @@ impl<M: MemPort> Cpu<M> {
                 // dormant — nothing is enqueued, so not even the
                 // occupancy bookkeeping can diverge from the coupled
                 // machine.
-                if self.config.decouple
+                let run_ahead = self.config.decouple
                     && self.config.decouple_depth > 0
                     && inst.op.is_stream()
-                    && inst.queue() == QueueKind::Mem
-                    && matches!(access_kind(&inst), AccessKind::VectorLoad)
-                {
+                    && qi == queue_idx(QueueKind::Mem)
+                    && matches!(access_kind(inst), AccessKind::VectorLoad);
+
+                // The thread's next ROB ring position is its slab slot.
+                let mut pos = t.rob_head + t.rob_len;
+                if pos >= rob {
+                    pos -= rob;
+                }
+                let id = (tid * rob + pos) as u32;
+                self.slab[id as usize] = DynInst {
+                    inst: *inst,
+                    tid,
+                    dst,
+                    prev_dst,
+                    srcs,
+                    state: InstState::InQueue,
+                    mem_elems_issued: 0,
+                    mem_done: 0,
+                    mispredicted,
+                    equiv: inst.equivalent_count(),
+                    kind: inst.kind(),
+                };
+                t.decode_buf.pop_front();
+                t.rob_len += 1;
+                self.queues[qi].push(QueueEntry { id, srcs });
+                if run_ahead {
                     self.vfetch.push_back(VFetchEntry {
                         id,
                         tid,
@@ -1561,10 +1628,14 @@ impl<M: MemPort> Cpu<M> {
                     });
                 }
                 if mispredicted {
-                    self.threads[tid].blocked_on_branch = Some(id);
+                    t.blocked_on_branch = Some(id);
                 }
                 dispatched += 1;
                 budget -= 1;
+            }
+            tid += 1;
+            if tid == n {
+                tid = 0;
             }
         }
         dispatched
@@ -1605,7 +1676,7 @@ impl<M: MemPort> Cpu<M> {
         // The selection policies only ever pick runnable threads, so
         // with none runnable the sort-and-pick is a no-op — skip it.
         if any_runnable {
-            let vector_pipe_empty = self.queues[Self::queue_idx(QueueKind::Simd)].is_empty();
+            let vector_pipe_empty = self.queues[queue_idx(QueueKind::Simd)].is_empty();
             select_threads_into(
                 self.config.fetch_policy,
                 &infos,
@@ -1618,52 +1689,63 @@ impl<M: MemPort> Cpu<M> {
         self.fetch_infos = infos;
         let any_chosen = !chosen.is_empty();
         for &tid in &chosen {
+            let t = &mut self.threads[tid];
             let mut any_vector = false;
             for _ in 0..self.config.fetch_width {
                 // Peek the next instruction.
-                let next = match self.threads[tid].lookahead.take() {
+                let next = match t.lookahead.take() {
                     Some(i) => Some(i),
                     None => {
-                        let t = &mut self.threads[tid];
-                        match t.next_from_block() {
-                            Some(i) => Some(i),
-                            None => {
-                                t.exhausted = true;
-                                t.source = None;
-                                None
-                            }
+                        let next = t.next_from_block();
+                        if next.is_none() {
+                            t.exhausted = true;
+                            t.source = None;
                         }
+                        next
                     }
                 };
                 let Some(inst) = next else { break };
                 // I-cache: a new line must be fetched before its
                 // instructions can be consumed.
                 let line = inst.pc & !(ICACHE_LINE - 1);
-                if line != self.threads[tid].last_fetch_line {
+                if line != t.last_fetch_line {
                     let ready = self.mem.ifetch(self.now, tid as u8, line);
-                    self.threads[tid].last_fetch_line = line;
+                    t.last_fetch_line = line;
                     if ready > self.now + 1 {
-                        self.threads[tid].fetch_blocked_until = ready;
-                        self.threads[tid].lookahead = Some(inst);
+                        t.fetch_blocked_until = ready;
+                        t.lookahead = Some(inst);
                         break;
                     }
                 }
                 any_vector |= inst.op.is_simd();
-                let t = &mut self.threads[tid];
                 t.decode_buf.push_back(inst);
                 t.icount += 1;
                 t.ocount += inst.equivalent_count();
                 self.stats.fetched += 1;
                 // Fetch stops at a taken control transfer.
-                if inst.branch.map(|b| b.taken).unwrap_or(false) {
+                if inst.branch.is_some_and(|b| b.taken) {
                     break;
                 }
             }
-            self.threads[tid].fetched_vector_last = any_vector;
+            t.fetched_vector_last = any_vector;
         }
         self.fetch_sel = chosen;
-        self.rr_cursor = (self.rr_cursor + 1) % self.threads.len();
+        self.rr_cursor += 1;
+        if self.rr_cursor == self.threads.len() {
+            self.rr_cursor = 0;
+        }
         any_chosen
+    }
+}
+
+/// Index of a dispatch queue in [`Cpu::queues`].
+#[inline]
+fn queue_idx(q: QueueKind) -> usize {
+    match q {
+        QueueKind::Int => 0,
+        QueueKind::Mem => 1,
+        QueueKind::Fp => 2,
+        QueueKind::Simd => 3,
     }
 }
 

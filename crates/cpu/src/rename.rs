@@ -10,14 +10,24 @@
 use crate::config::SizingParams;
 use medsim_isa::{LogicalReg, RegClass};
 
-/// A physical register: class + index into that class's pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PhysReg {
-    /// Register class.
-    pub class: RegClass,
-    /// Index within the class pool.
-    pub index: u16,
-}
+/// A physical register: a flat index over every class's pool (the
+/// class's base plus the index within it), so one ready array serves
+/// all five classes.
+pub type PhysReg = u16;
+
+/// The always-ready flat index: it stands for an absent source or the
+/// hard-wired zero register, so an instruction's renamed sources always
+/// fill four slots and a readiness test is four loads.
+pub const READY: PhysReg = 0;
+
+/// Architectural registers per class, in [`class_idx`] order.
+const ARCH_COUNTS: [usize; 5] = [32, 32, 32, 16, 2];
+
+/// Offset of each class's logical registers in a thread's map table.
+const ARCH_BASE: [usize; 5] = [0, 32, 64, 96, 112];
+
+/// Map-table entries per thread.
+const ARCH_TOTAL: usize = 114;
 
 fn class_idx(c: RegClass) -> usize {
     match c {
@@ -32,10 +42,17 @@ fn class_idx(c: RegClass) -> usize {
 /// Rename state: per-thread tables + shared free lists + ready bits.
 #[derive(Debug)]
 pub struct RenameFile {
-    /// `tables[tid][class][logical] = physical index`.
-    tables: Vec<[Vec<u16>; 5]>,
-    free: [Vec<u16>; 5],
-    ready: [Vec<bool>; 5],
+    /// `tables[tid * ARCH_TOTAL + ARCH_BASE[class] + logical]` is the
+    /// physical register the logical register maps to.
+    tables: Vec<PhysReg>,
+    /// Per-class free lists of flat physical registers.
+    free: [Vec<PhysReg>; 5],
+    /// Ready bit per flat physical register; entry [`READY`] is the
+    /// sentinel and always set.
+    ready: Vec<bool>,
+    /// Class index of each flat physical register (release returns a
+    /// register to its own pool).
+    class_of: Vec<u8>,
 }
 
 impl RenameFile {
@@ -44,7 +61,7 @@ impl RenameFile {
     /// # Panics
     ///
     /// Panics if the pools cannot hold every thread's architectural
-    /// state.
+    /// state, or if all pools together exceed the flat index range.
     #[must_use]
     pub fn new(threads: usize, sizing: &SizingParams) -> Self {
         let pool_sizes = [
@@ -54,47 +71,68 @@ impl RenameFile {
             sizing.stream_regs,
             sizing.acc_regs,
         ];
-        let arch_counts = [32usize, 32, 32, 16, 2];
-        for (c, (&pool, &arch)) in pool_sizes.iter().zip(arch_counts.iter()).enumerate() {
+        for (c, (&pool, &arch)) in pool_sizes.iter().zip(ARCH_COUNTS.iter()).enumerate() {
             assert!(
                 pool > arch * threads,
                 "physical pool {c} too small: {pool} for {threads} threads × {arch} architectural"
             );
         }
-        let mut free: [Vec<u16>; 5] = Default::default();
-        let mut ready: [Vec<bool>; 5] = Default::default();
+        let total = 1 + pool_sizes.iter().sum::<usize>();
+        assert!(
+            total <= usize::from(PhysReg::MAX),
+            "physical pools too large for flat indices: {total}"
+        );
+        let mut free: [Vec<PhysReg>; 5] = Default::default();
+        let mut ready = vec![false; total];
+        ready[usize::from(READY)] = true;
+        let mut class_of = vec![0u8; total];
+        let mut base = 1usize;
         for c in 0..5 {
-            free[c] = (0..pool_sizes[c] as u16).rev().collect();
-            ready[c] = vec![false; pool_sizes[c]];
+            let range = base..base + pool_sizes[c];
+            class_of[range.clone()].fill(c as u8);
+            // Lowest index allocated first.
+            free[c] = range.rev().map(|p| p as PhysReg).collect();
+            base += pool_sizes[c];
         }
-        let mut tables = Vec::with_capacity(threads);
+        let mut tables = Vec::with_capacity(threads * ARCH_TOTAL);
         for _ in 0..threads {
-            let mut t: [Vec<u16>; 5] = Default::default();
             for c in 0..5 {
-                t[c] = (0..arch_counts[c])
-                    .map(|_| {
-                        let p = free[c].pop().expect("pool sized above");
-                        ready[c][p as usize] = true;
-                        p
-                    })
-                    .collect();
+                for _ in 0..ARCH_COUNTS[c] {
+                    let p = free[c].pop().expect("pool sized above");
+                    ready[usize::from(p)] = true;
+                    tables.push(p);
+                }
             }
-            tables.push(t);
         }
         RenameFile {
             tables,
             free,
             ready,
+            class_of,
         }
+    }
+
+    /// Map-table slot of `reg` for thread `tid`.
+    #[inline]
+    fn slot(tid: usize, reg: LogicalReg) -> usize {
+        tid * ARCH_TOTAL + ARCH_BASE[class_idx(reg.class)] + usize::from(reg.index)
     }
 
     /// Current physical mapping of `reg` for thread `tid`.
     #[must_use]
+    #[inline]
     pub fn lookup(&self, tid: usize, reg: LogicalReg) -> PhysReg {
-        let c = class_idx(reg.class);
-        PhysReg {
-            class: reg.class,
-            index: self.tables[tid][c][reg.index as usize],
+        self.tables[Self::slot(tid, reg)]
+    }
+
+    /// Physical register a source operand reads: [`READY`] for an
+    /// absent source or the hard-wired zero register.
+    #[must_use]
+    #[inline]
+    pub fn lookup_src(&self, tid: usize, reg: Option<LogicalReg>) -> PhysReg {
+        match reg {
+            Some(r) if !r.is_zero() => self.lookup(tid, r),
+            _ => READY,
         }
     }
 
@@ -108,46 +146,48 @@ impl RenameFile {
     /// ready), returning `(new, previous)` — the previous mapping is
     /// freed when the instruction commits. Returns `None` when the pool
     /// is empty (dispatch must stall).
+    #[inline]
     pub fn allocate(&mut self, tid: usize, reg: LogicalReg) -> Option<(PhysReg, PhysReg)> {
-        let c = class_idx(reg.class);
-        let new = self.free[c].pop()?;
-        self.ready[c][new as usize] = false;
-        let prev = self.tables[tid][c][reg.index as usize];
-        self.tables[tid][c][reg.index as usize] = new;
-        Some((
-            PhysReg {
-                class: reg.class,
-                index: new,
-            },
-            PhysReg {
-                class: reg.class,
-                index: prev,
-            },
-        ))
+        let new = self.free[class_idx(reg.class)].pop()?;
+        self.ready[usize::from(new)] = false;
+        let slot = Self::slot(tid, reg);
+        let prev = std::mem::replace(&mut self.tables[slot], new);
+        Some((new, prev))
     }
 
     /// Mark a physical register's value available.
+    #[inline]
     pub fn mark_ready(&mut self, p: PhysReg) {
-        self.ready[class_idx(p.class)][p.index as usize] = true;
+        self.ready[usize::from(p)] = true;
     }
 
     /// Whether a physical register's value is available.
     #[must_use]
+    #[inline]
     pub fn is_ready(&self, p: PhysReg) -> bool {
-        self.ready[class_idx(p.class)][p.index as usize]
+        self.ready[usize::from(p)]
+    }
+
+    /// Whether all four renamed sources (padded with [`READY`]) are
+    /// available.
+    #[must_use]
+    #[inline]
+    pub fn sources_ready(&self, srcs: &[PhysReg; 4]) -> bool {
+        let r = &self.ready;
+        r[usize::from(srcs[0])]
+            & r[usize::from(srcs[1])]
+            & r[usize::from(srcs[2])]
+            & r[usize::from(srcs[3])]
     }
 
     /// Return a physical register to the free pool (at commit, the
     /// previous mapping of the committing instruction's destination).
+    #[inline]
     pub fn release(&mut self, p: PhysReg) {
-        let c = class_idx(p.class);
-        debug_assert!(
-            !self.free[c].contains(&p.index),
-            "double free of {:?}{}",
-            p.class,
-            p.index
-        );
-        self.free[c].push(p.index);
+        debug_assert_ne!(p, READY, "the sentinel is never allocated");
+        let c = usize::from(self.class_of[usize::from(p)]);
+        debug_assert!(!self.free[c].contains(&p), "double free of p{p}");
+        self.free[c].push(p);
     }
 }
 
