@@ -172,41 +172,47 @@ struct VFetchEntry {
 
 /// One in-flight instruction, in its thread's slot of the
 /// ROB-indexed slab (see [`Cpu::slab`]). The values later stages need
-/// are computed once at dispatch.
+/// are computed once at dispatch. `repr(C)` keeps the fields complete
+/// and commit read together in the slot's first 24 bytes (one cache
+/// line), ahead of the 64-byte instruction.
 #[derive(Debug, Clone)]
+#[repr(C)]
 struct DynInst {
-    inst: Inst,
-    tid: usize,
+    state: InstState,
+    tid: u8,
+    /// [`Inst::kind`].
+    kind: OpKind,
+    /// The instruction is a control transfer.
+    branch: bool,
+    mispredicted: bool,
+    /// [`Inst::equivalent_count`] (at most the maximum stream length).
+    equiv: u8,
+    mem_elems_issued: u8,
     dst: Option<PhysReg>,
     prev_dst: Option<PhysReg>,
     /// Renamed sources, padded with [`READY`]; the queue entry carries
     /// a copy (see [`QueueEntry`]).
     srcs: [PhysReg; 4],
-    state: InstState,
-    mem_elems_issued: u8,
     mem_done: Cycle,
-    mispredicted: bool,
-    /// [`Inst::equivalent_count`].
-    equiv: u64,
-    /// [`Inst::kind`].
-    kind: OpKind,
+    inst: Inst,
 }
 
 impl DynInst {
     /// Filler for slab slots no instruction occupies yet.
     fn vacant() -> Self {
         DynInst {
-            inst: Inst::new(Op::Int(IntOp::Add)),
+            state: InstState::Done,
             tid: 0,
+            kind: OpKind::Integer,
+            branch: false,
+            mispredicted: false,
+            equiv: 1,
+            mem_elems_issued: 0,
             dst: None,
             prev_dst: None,
             srcs: [READY; 4],
-            state: InstState::Done,
-            mem_elems_issued: 0,
             mem_done: 0,
-            mispredicted: false,
-            equiv: 1,
-            kind: OpKind::Integer,
+            inst: Inst::new(Op::Int(IntOp::Add)),
         }
     }
 }
@@ -473,6 +479,10 @@ impl<M: MemPort> Cpu<M> {
     #[must_use]
     pub fn new(config: CpuConfig, mem: M) -> Self {
         let threads = config.threads;
+        assert!(
+            threads <= 256,
+            "thread ids are stored in a byte: {threads} threads"
+        );
         let rename = RenameFile::new(threads, &config.sizing);
         Cpu {
             stats: CpuStats::new(threads),
@@ -1021,8 +1031,7 @@ impl<M: MemPort> Cpu<M> {
             };
             if t.rob_len >= self.config.sizing.rob_per_thread {
                 rob += 1;
-            } else if self.queues[queue_idx(inst.queue())].len()
-                >= self.config.sizing.queue_entries
+            } else if self.queues[queue_idx(inst.queue())].len() >= self.config.sizing.queue_entries
             {
                 queue += 1;
             } else {
@@ -1062,7 +1071,7 @@ impl<M: MemPort> Cpu<M> {
             let d = &mut self.slab[id as usize];
             debug_assert_eq!(d.state, InstState::Executing);
             d.state = InstState::Done;
-            let tid = d.tid;
+            let tid = usize::from(d.tid);
             let mispredicted = d.mispredicted;
             if let Some(p) = d.dst {
                 self.rename.mark_ready(p);
@@ -1108,13 +1117,14 @@ impl<M: MemPort> Cpu<M> {
                     self.rename.release(prev);
                 }
                 let ts = &mut self.stats.threads[tid];
+                let equiv = u64::from(d.equiv);
                 ts.committed += 1;
-                ts.committed_equiv += d.equiv;
-                if d.inst.branch.is_some() {
+                ts.committed_equiv += equiv;
+                if d.branch {
                     ts.branches += 1;
                     ts.mispredicts += u64::from(d.mispredicted);
                 }
-                self.stats.record_commit_kind(d.kind, d.equiv);
+                self.stats.record_commit_kind(d.kind, equiv);
                 t.rob_head += 1;
                 if t.rob_head == rob {
                     t.rob_head = 0;
@@ -1137,7 +1147,11 @@ impl<M: MemPort> Cpu<M> {
     #[inline]
     fn debug_check_entry(&self, e: &QueueEntry) {
         let d = &self.slab[e.id as usize];
-        debug_assert_eq!(d.state, InstState::InQueue, "queued instruction not InQueue");
+        debug_assert_eq!(
+            d.state,
+            InstState::InQueue,
+            "queued instruction not InQueue"
+        );
         debug_assert_eq!(d.srcs, e.srcs, "queue entry sources diverge from the slab");
     }
 
@@ -1227,7 +1241,8 @@ impl<M: MemPort> Cpu<M> {
                 continue;
             }
             let d = &self.slab[e.id as usize];
-            let (op, slen, tid, equiv) = (d.inst.op, d.inst.slen, d.tid, d.equiv);
+            let (op, slen) = (d.inst.op, d.inst.slen);
+            let (tid, equiv) = (usize::from(d.tid), u64::from(d.equiv));
             let is_stream = media_gated && matches!(op, Op::Mom(_));
             if is_stream && self.media_unit_free > self.now {
                 cursor_stop.get_or_insert(write);
@@ -1293,8 +1308,8 @@ impl<M: MemPort> Cpu<M> {
                 // those carries a MemRef.
                 unreachable!("memory-queue instruction without an access: {:?}", d.inst)
             };
-            let tid = d.tid;
-            let equiv = d.equiv;
+            let tid = usize::from(d.tid);
+            let equiv = u64::from(d.equiv);
             let kind = access_kind(&d.inst);
             let elems_before = d.mem_elems_issued;
             let mut mem_done = d.mem_done;
@@ -1554,10 +1569,9 @@ impl<M: MemPort> Cpu<M> {
                 // register (integer r31, renamed through the int pool).
                 if let Op::Mom(o) = inst.op {
                     if o != MomOp::SetVl {
-                        srcs[3] = self.rename.lookup(
-                            tid,
-                            medsim_isa::regs::int(medsim_isa::regs::STREAM_LEN_REG),
-                        );
+                        srcs[3] = self
+                            .rename
+                            .lookup(tid, medsim_isa::regs::int(medsim_isa::regs::STREAM_LEN_REG));
                     }
                 }
                 let (dst, prev_dst) = match inst.dst {
@@ -1605,17 +1619,18 @@ impl<M: MemPort> Cpu<M> {
                 }
                 let id = (tid * rob + pos) as u32;
                 self.slab[id as usize] = DynInst {
-                    inst: *inst,
-                    tid,
+                    state: InstState::InQueue,
+                    tid: tid as u8,
+                    kind: inst.kind(),
+                    branch: inst.branch.is_some(),
+                    mispredicted,
+                    equiv: inst.equivalent_count() as u8,
+                    mem_elems_issued: 0,
                     dst,
                     prev_dst,
                     srcs,
-                    state: InstState::InQueue,
-                    mem_elems_issued: 0,
                     mem_done: 0,
-                    mispredicted,
-                    equiv: inst.equivalent_count(),
-                    kind: inst.kind(),
+                    inst: *inst,
                 };
                 t.decode_buf.pop_front();
                 t.rob_len += 1;
@@ -2070,6 +2085,70 @@ mod tests {
         assert_eq!(slow_l1, fast_l1);
         assert_eq!(slow_lat, fast_lat);
     }
+
+    #[test]
+    fn rob_ring_wraps_many_times_and_drains() {
+        // Twenty ROBs' worth of one thread's instructions: loads,
+        // dependent adds, divides and branches, so slots retire out of
+        // issue order and the ring wraps repeatedly.
+        let c0 = cpu(1, SimdIsa::Mmx);
+        let rob = c0.config().sizing.rob_per_thread;
+        let n = 20 * rob + 5;
+        let insts: Vec<Inst> = (0..n as u64)
+            .map(|i| {
+                let pc = 0x1000 + 4 * (i % 64);
+                match i % 8 {
+                    0 => Inst::load(MemOp::LoadW, int(1), int(10), 0x20_0000 + 8 * i).at(pc),
+                    3 => Inst::int_rrr(IntOp::Div, int(2), int(1), int(3)).at(pc),
+                    7 => Inst::branch(CtlOp::Bne, int(2), i % 3 == 0, 0x1000).at(pc),
+                    _ => Inst::int_rrr(IntOp::Add, int(4 + (i % 4) as u8), int(1), int(2)).at(pc),
+                }
+            })
+            .collect();
+        let mut c = cpu(1, SimdIsa::Mmx);
+        c.attach_thread(0, Box::new(VecStream::new(insts)));
+        assert!(c.run_to_idle(1_000_000));
+        assert_eq!(c.stats().committed(), n as u64);
+        assert_eq!(c.stats().threads[0].branches, n as u64 / 8);
+        assert!(c.thread_idle(0));
+        let t = &c.threads[0];
+        assert_eq!(t.rob_len, 0, "every slot committed");
+        assert_eq!(t.rob_head, n % rob, "the head advanced once per commit");
+    }
+
+    #[test]
+    fn full_rob_stalls_dispatch_and_counts_each_cycle() {
+        // A chain of five dependent divides (12 cycles each) heads the
+        // ROB. The adds behind it write the zero register, so they take
+        // no physical register, issue and complete at once, but cannot
+        // commit: the 64-entry ROB fills and dispatch stalls once per
+        // cycle until the chain retires. The count is the seed
+        // pipeline's, so the ROB ring must stall exactly as the
+        // per-thread deque did.
+        let mut insts: Vec<Inst> = (0..5)
+            .map(|i| Inst::int_rrr(IntOp::Div, int(1), int(1), int(3)).at(0x1000 + 4 * i))
+            .collect();
+        insts.extend((0..200u64).map(|i| {
+            Inst::int_rrr(IntOp::Add, int(0), int(10), int(11)).at(0x1014 + 4 * (i % 32))
+        }));
+        let run = |fast_forward: bool| {
+            let mut c = cpu(1, SimdIsa::Mmx);
+            c.set_fast_forward(fast_forward);
+            c.attach_thread(0, Box::new(VecStream::new(insts.clone())));
+            assert!(c.run_to_idle(100_000));
+            assert_eq!(c.stats().committed(), 205);
+            c.stats().clone()
+        };
+        let stepped = run(false);
+        assert_eq!(stepped.dispatch_rob_stalls, ROB_STALLS);
+        assert_eq!(stepped.dispatch_queue_stalls, 0);
+        assert_eq!(stepped.dispatch_reg_stalls, 0);
+        assert_eq!(run(true), stepped, "the idle skip replays the same stalls");
+    }
+
+    /// `dispatch_rob_stalls` of the seed pipeline on the divide-chain
+    /// program above.
+    const ROB_STALLS: u64 = 45;
 
     #[test]
     fn equivalent_counting_matches_kind_buckets() {
