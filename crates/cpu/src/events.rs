@@ -35,7 +35,7 @@
 use crate::Cycle;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Default number of wheel slots (cycles of horizon). Covers every
 /// functional-unit latency and L1/L2 hit comfortably; only DRAM round
@@ -84,7 +84,11 @@ pub fn wheel_slots_from_env() -> usize {
 pub struct EventQueue {
     /// `slots` FIFO buckets; slot `s` holds the events due at the unique
     /// cycle `d` in the current horizon window with `d mod slots == s`.
-    wheel: Vec<VecDeque<u32>>,
+    /// Buckets are plain `Vec`s in push order: the pipeline empties a
+    /// bucket whole ([`EventQueue::drain_due`]), so only the one-at-a-
+    /// time [`EventQueue::pop_due`] pays for removing from the front of
+    /// these few-entry buckets.
+    wheel: Vec<Vec<u32>>,
     /// Occupancy bitmap over the wheel, one bit per slot.
     occ: Vec<u64>,
     /// `slots - 1` (slot count is a power of two).
@@ -107,7 +111,7 @@ impl EventQueue {
     pub fn new(slots: usize) -> Self {
         let slots = slots.clamp(64, 1 << 20).next_power_of_two();
         EventQueue {
-            wheel: (0..slots).map(|_| VecDeque::new()).collect(),
+            wheel: (0..slots).map(|_| Vec::new()).collect(),
             occ: vec![0; slots / 64],
             mask: slots as u64 - 1,
             overflow: BinaryHeap::new(),
@@ -140,7 +144,7 @@ impl EventQueue {
                 self.wheel[slot].is_empty() || self.slot_due(slot) == due,
                 "wheel slot must hold a single due cycle"
             );
-            self.wheel[slot].push_back(id);
+            self.wheel[slot].push(id);
             self.occ[slot >> 6] |= 1 << (slot & 63);
             self.wheel_len += 1;
         } else {
@@ -217,7 +221,7 @@ impl EventQueue {
             }
         } else if let Some((due, slot)) = wheel {
             if due <= now {
-                let id = self.wheel[slot].pop_front().expect("occupied slot");
+                let id = self.wheel[slot].remove(0);
                 self.wheel_len -= 1;
                 if self.wheel[slot].is_empty() {
                     self.occ[slot >> 6] &= !(1 << (slot & 63));
@@ -253,7 +257,7 @@ impl EventQueue {
             }
             let bucket = &mut self.wheel[slot];
             self.wheel_len -= bucket.len();
-            out.extend(bucket.drain(..));
+            out.append(bucket);
             self.occ[slot >> 6] &= !(1 << (slot & 63));
         }
         if now > self.base {

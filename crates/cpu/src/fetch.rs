@@ -62,17 +62,21 @@ pub fn select_threads_into(
     if n == 0 {
         return;
     }
-    // Runnable threads in round-robin order starting at the cursor.
+    // Runnable threads in round-robin order starting at the cursor,
+    // written unconditionally and kept by advancing the length (no
+    // data-dependent branch per thread).
+    picked.resize(n, 0);
+    let mut kept = 0;
     let mut t = rr_cursor % n;
     for _ in 0..n {
-        if infos[t].runnable {
-            picked.push(t);
-        }
+        picked[kept] = t;
+        kept += usize::from(infos[t].runnable);
         t += 1;
         if t == n {
             t = 0;
         }
     }
+    picked.truncate(kept);
     match policy {
         FetchPolicy::RoundRobin => {}
         FetchPolicy::ICount => {

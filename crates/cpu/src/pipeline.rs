@@ -230,18 +230,19 @@ struct QueueEntry {
 /// A thread's decode buffer: a fixed ring of [`DECODE_BUF_CAP`]
 /// instructions. Fetch only selects a thread with room for a whole
 /// fetch group, so the ring never overflows.
+#[repr(C)]
 struct DecodeRing {
-    buf: [Inst; DECODE_BUF_CAP],
     head: usize,
     len: usize,
+    buf: [Inst; DECODE_BUF_CAP],
 }
 
 impl DecodeRing {
     fn new() -> Self {
         DecodeRing {
-            buf: [Inst::new(Op::Int(IntOp::Add)); DECODE_BUF_CAP],
             head: 0,
             len: 0,
+            buf: [Inst::new(Op::Int(IntOp::Add)); DECODE_BUF_CAP],
         }
     }
 
@@ -275,26 +276,16 @@ impl DecodeRing {
     }
 }
 
+/// One hardware context. `repr(C)` keeps the counters every stage
+/// reads each cycle together, followed by the decode ring's head and
+/// length, ahead of the instruction storage.
+#[repr(C)]
 struct ThreadCtx {
-    /// Block-oriented instruction supply (a generator adapter, a packed
-    /// trace decoder, or a sharded frontend's ring consumer).
-    source: Option<Box<dyn InstSource>>,
-    /// Current decoded block; the per-instruction hot path is an
-    /// indexed read from here — no virtual dispatch per instruction.
-    block: Vec<Inst>,
-    /// Read position inside `block`.
-    block_pos: usize,
-    /// Blocks pulled ahead of `block` by the quantum-horizon probe
-    /// ([`Cpu::quantum_horizon`]), consumed before asking the source
-    /// again — the instruction sequence is exactly the one a serial
-    /// schedule pulls, just buffered earlier.
-    pending: VecDeque<Vec<Inst>>,
-    lookahead: Option<Inst>,
-    decode_buf: DecodeRing,
-    fetch_blocked_until: Cycle,
-    blocked_on_branch: Option<u32>,
-    last_fetch_line: u64,
     exhausted: bool,
+    fetched_vector_last: bool,
+    blocked_on_branch: Option<u32>,
+    fetch_blocked_until: Cycle,
+    last_fetch_line: u64,
     /// Ring position of the oldest in-flight instruction in this
     /// thread's ROB (its slab slots start at `tid × rob_per_thread`).
     rob_head: usize,
@@ -302,7 +293,21 @@ struct ThreadCtx {
     rob_len: usize,
     icount: usize,
     ocount: u64,
-    fetched_vector_last: bool,
+    decode_buf: DecodeRing,
+    /// Read position inside `block`.
+    block_pos: usize,
+    /// Current decoded block; the per-instruction hot path is an
+    /// indexed read from here — no virtual dispatch per instruction.
+    block: Vec<Inst>,
+    lookahead: Option<Inst>,
+    /// Blocks pulled ahead of `block` by the quantum-horizon probe
+    /// ([`Cpu::quantum_horizon`]), consumed before asking the source
+    /// again — the instruction sequence is exactly the one a serial
+    /// schedule pulls, just buffered earlier.
+    pending: VecDeque<Vec<Inst>>,
+    /// Block-oriented instruction supply (a generator adapter, a packed
+    /// trace decoder, or a sharded frontend's ring consumer).
+    source: Option<Box<dyn InstSource>>,
 }
 
 impl ThreadCtx {
@@ -1146,13 +1151,17 @@ impl<M: MemPort> Cpu<M> {
     /// sources are the ones renamed at dispatch.
     #[inline]
     fn debug_check_entry(&self, e: &QueueEntry) {
-        let d = &self.slab[e.id as usize];
-        debug_assert_eq!(
-            d.state,
-            InstState::InQueue,
-            "queued instruction not InQueue"
-        );
-        debug_assert_eq!(d.srcs, e.srcs, "queue entry sources diverge from the slab");
+        // Gated as a whole: the slab index alone would keep a bounds
+        // check in release builds.
+        if cfg!(debug_assertions) {
+            let d = &self.slab[e.id as usize];
+            assert_eq!(
+                d.state,
+                InstState::InQueue,
+                "queued instruction not InQueue"
+            );
+            assert_eq!(d.srcs, e.srcs, "queue entry sources diverge from the slab");
+        }
     }
 
     /// Execution latency of a non-memory instruction, plus any
@@ -1667,10 +1676,15 @@ impl<M: MemPort> Cpu<M> {
         infos.clear();
         let mut any_runnable = false;
         for t in &self.threads {
-            let runnable = !t.exhausted
-                && t.blocked_on_branch.is_none()
-                && t.fetch_blocked_until <= self.now
-                && t.decode_buf.len() + self.config.fetch_width <= DECODE_BUF_CAP;
+            // Non-short-circuit `&`: the per-thread conditions are data
+            // the host cannot predict, so evaluate them without branches.
+            let live = !t.exhausted;
+            let branch_blocked = t.blocked_on_branch.is_some();
+            let time_blocked = t.fetch_blocked_until > self.now;
+            let runnable = live
+                & !branch_blocked
+                & !time_blocked
+                & (t.decode_buf.len() + self.config.fetch_width <= DECODE_BUF_CAP);
             any_runnable |= runnable;
             infos.push(ThreadFetchInfo {
                 runnable,
@@ -1678,13 +1692,8 @@ impl<M: MemPort> Cpu<M> {
                 ocount: t.ocount,
                 fetched_vector_last: t.fetched_vector_last,
             });
-            if !t.exhausted {
-                if t.blocked_on_branch.is_some() {
-                    self.stats.fetch_branch_stalls += 1;
-                } else if t.fetch_blocked_until > self.now {
-                    self.stats.fetch_icache_stalls += 1;
-                }
-            }
+            self.stats.fetch_branch_stalls += u64::from(live & branch_blocked);
+            self.stats.fetch_icache_stalls += u64::from(live & !branch_blocked & time_blocked);
         }
         let mut chosen = std::mem::take(&mut self.fetch_sel);
         chosen.clear();
