@@ -187,6 +187,7 @@ fn main() {
     // through the calendar queue, printed against the seed heap.
     let queue_ops = |kind: SchedulerKind| -> u64 {
         let mut q = CompletionQueue::new(kind, 256);
+        let mut due = Vec::new();
         let mut now = 0u64;
         let mut i = 0u64;
         let mut ops = 0u64;
@@ -202,14 +203,13 @@ fn main() {
                 ops += 1;
             }
             now += 1;
-            while q.pop_due(now).is_some() {
-                ops += 1;
-            }
+            due.clear();
+            q.drain_due(now, &mut due);
+            ops += due.len() as u64;
         }
-        while q.pop_due(u64::MAX).is_some() {
-            ops += 1;
-        }
-        ops
+        due.clear();
+        q.drain_due(u64::MAX, &mut due);
+        ops + due.len() as u64
     };
     let (wheel_ops, wheel_s) = timed_secs(|| queue_ops(SchedulerKind::Wheel));
     recorder.record("event_queue", wheel_s, wheel_ops);

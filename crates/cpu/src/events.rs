@@ -78,8 +78,9 @@ pub fn wheel_slots_from_env() -> usize {
 ///
 /// Contract (matched by how the pipeline drives it): `push` dues are
 /// never in the past, and the owner drains everything due at or before
-/// `now` via [`EventQueue::pop_due`] before time advances past it —
-/// `complete()` does exactly that every simulated cycle.
+/// `now` ([`EventQueue::drain_due`], or [`EventQueue::pop_due`] one at
+/// a time) before time advances past it — `complete()` does exactly
+/// that every simulated cycle.
 #[derive(Debug)]
 pub struct EventQueue {
     /// `slots` FIFO buckets; slot `s` holds the events due at the unique
@@ -300,17 +301,6 @@ impl CompletionQueue {
         }
     }
 
-    /// Pop one event due at or before `now`, if any.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<u32> {
-        match self {
-            CompletionQueue::Wheel(q) => q.pop_due(now),
-            CompletionQueue::Heap(h) => match h.peek() {
-                Some(&(Reverse(due), _)) if due <= now => h.pop().map(|(_, id)| id),
-                _ => None,
-            },
-        }
-    }
-
     /// Append every event due at or before `now` to `out` (see
     /// [`EventQueue::drain_due`]). The order within a cycle differs
     /// between the variants and is not observable by the pipeline.
@@ -439,10 +429,12 @@ mod tests {
             q.push(4, 2);
             assert_eq!(q.len(), 2);
             assert_eq!(q.next_due(), Some(4));
-            assert_eq!(q.pop_due(3), None);
-            assert_eq!(q.pop_due(4), Some(2));
-            assert_eq!(q.pop_due(9), None);
-            assert_eq!(q.pop_due(10), Some(1));
+            let mut out = Vec::new();
+            for (now, expected) in [(3, vec![]), (4, vec![2]), (9, vec![]), (10, vec![1])] {
+                out.clear();
+                q.drain_due(now, &mut out);
+                assert_eq!(out, expected, "{kind:?} at {now}");
+            }
             assert!(q.is_empty());
         }
     }

@@ -29,6 +29,8 @@ const ARCH_BASE: [usize; 5] = [0, 32, 64, 96, 112];
 /// Map-table entries per thread.
 const ARCH_TOTAL: usize = 114;
 
+const _: () = assert!(ARCH_BASE[4] + ARCH_COUNTS[4] == ARCH_TOTAL);
+
 fn class_idx(c: RegClass) -> usize {
     match c {
         RegClass::Int => 0,
@@ -263,6 +265,23 @@ mod tests {
         assert_ne!(p1, p2);
         assert_eq!(prev2, p1, "second writer's previous is the first writer");
         assert_eq!(f.lookup(0, int(7)), p2, "readers see the newest mapping");
+    }
+
+    #[test]
+    fn sentinel_pads_sources_and_is_never_allocated() {
+        let mut f = file(1);
+        assert_eq!(f.lookup_src(0, None), READY, "absent source");
+        assert_eq!(f.lookup_src(0, Some(int(0))), READY, "zero register");
+        assert_ne!(f.lookup_src(0, Some(int(5))), READY);
+        let (new, _) = f.allocate(0, int(3)).unwrap();
+        let srcs = [new, READY, READY, READY];
+        assert!(!f.sources_ready(&srcs));
+        f.mark_ready(new);
+        assert!(f.sources_ready(&srcs));
+        while let Some((p, _)) = f.allocate(0, int(4)) {
+            assert_ne!(p, READY, "the sentinel is not in any pool");
+        }
+        assert!(f.is_ready(READY));
     }
 
     #[test]
