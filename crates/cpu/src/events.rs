@@ -7,25 +7,26 @@
 //! current cycle, every cycle. A comparison-based heap pays `O(log n)`
 //! per operation for ordering generality this workload never uses; a
 //! **calendar queue** (single-level timing wheel with an overflow bucket)
-//! makes both insert and pop `O(1)` for the short-horizon bulk:
+//! makes both insert and drain `O(1)` per event for the short-horizon
+//! bulk:
 //!
 //! * events due within the wheel horizon (`slots` cycles, default 256)
 //!   land in the slot `due mod slots` — because the wheel only ever holds
 //!   dues inside one horizon window, every slot holds exactly one cycle's
 //!   events, in FIFO push order;
 //! * far-future events go to a small binary-heap **overflow bucket**,
-//!   ordered by `(due, push sequence)`; they are popped straight from the
-//!   bucket when their time comes, so correctness never depends on
+//!   ordered by `(due, push sequence)`; they are drained straight from
+//!   the bucket when their time comes, so correctness never depends on
 //!   migrating them into the wheel;
 //! * an occupancy bitmap (one bit per slot) makes "earliest wheel event"
 //!   a couple of word scans — that is the `next_due` query the idle
 //!   fast-forward uses to jump over provably dead cycles.
 //!
-//! Within one cycle, events pop in **FIFO push order**. For equal dues
+//! Within one cycle, events drain in **FIFO push order**. For equal dues
 //! split across wheel and overflow, the overflow entries are always the
 //! older ones (an event can only land in overflow while the horizon ends
 //! *before* its due cycle, i.e. strictly earlier than any wheel push of
-//! that same due), so popping the bucket first preserves global FIFO.
+//! that same due), so draining the bucket first preserves global FIFO.
 //!
 //! [`CompletionQueue`] wraps the wheel together with the seed
 //! implementation's `BinaryHeap` as a selectable **reference scheduler**
@@ -78,17 +79,14 @@ pub fn wheel_slots_from_env() -> usize {
 ///
 /// Contract (matched by how the pipeline drives it): `push` dues are
 /// never in the past, and the owner drains everything due at or before
-/// `now` ([`EventQueue::drain_due`], or [`EventQueue::pop_due`] one at
-/// a time) before time advances past it — `complete()` does exactly
-/// that every simulated cycle.
+/// `now` ([`EventQueue::drain_due`]) before time advances past it —
+/// `complete()` does exactly that every simulated cycle.
 #[derive(Debug)]
 pub struct EventQueue {
     /// `slots` FIFO buckets; slot `s` holds the events due at the unique
     /// cycle `d` in the current horizon window with `d mod slots == s`.
-    /// Buckets are plain `Vec`s in push order: the pipeline empties a
-    /// bucket whole ([`EventQueue::drain_due`]), so only the one-at-a-
-    /// time [`EventQueue::pop_due`] pays for removing from the front of
-    /// these few-entry buckets.
+    /// Buckets are plain `Vec`s in push order, emptied whole by
+    /// [`EventQueue::drain_due`].
     wheel: Vec<Vec<u32>>,
     /// Occupancy bitmap over the wheel, one bit per slot.
     occ: Vec<u64>,
@@ -202,48 +200,12 @@ impl EventQueue {
         }
     }
 
-    /// Pop the oldest event due at or before `now`, in global FIFO order
-    /// within each due cycle. Returns `None` when nothing is due (and
-    /// takes the opportunity to slide the horizon window up to `now`).
-    pub fn pop_due(&mut self, now: Cycle) -> Option<u32> {
-        let wheel = self.wheel_min();
-        let over = self.overflow.peek().map(|&Reverse((d, _, _))| d);
-        // For equal dues the overflow entries are the older pushes (see
-        // module docs), so the bucket wins ties.
-        let from_overflow = match (wheel, over) {
-            (_, None) => false,
-            (None, Some(_)) => true,
-            (Some((wd, _)), Some(od)) => od <= wd,
-        };
-        if from_overflow {
-            if over.expect("checked") <= now {
-                let Reverse((_, _, id)) = self.overflow.pop().expect("peeked");
-                return Some(id);
-            }
-        } else if let Some((due, slot)) = wheel {
-            if due <= now {
-                let id = self.wheel[slot].remove(0);
-                self.wheel_len -= 1;
-                if self.wheel[slot].is_empty() {
-                    self.occ[slot >> 6] &= !(1 << (slot & 63));
-                }
-                return Some(id);
-            }
-        }
-        // Nothing due: every wheel entry is strictly in the future, so
-        // the window can slide forward and future pushes stay O(1).
-        if now > self.base {
-            self.base = now;
-        }
-        None
-    }
-
-    /// Append every event due at or before `now` to `out`, leaving the
-    /// queue exactly as draining it with [`EventQueue::pop_due`] would.
-    /// Events of one due cycle come out in FIFO push order (overflow
-    /// first, see the module docs); across due cycles the order is
-    /// unspecified, which the pipeline never observes because it
-    /// drains every cycle.
+    /// Append every event due at or before `now` to `out`, then slide
+    /// the horizon window up to `now` (every entry left is strictly in
+    /// the future, so future pushes stay `O(1)`). Events of one due
+    /// cycle come out in FIFO push order (overflow first, see the
+    /// module docs); across due cycles the order is unspecified, which
+    /// the pipeline never observes because it drains every cycle.
     pub fn drain_due(&mut self, now: Cycle, out: &mut Vec<u32>) {
         while let Some(&Reverse((due, _, id))) = self.overflow.peek() {
             if due > now {
@@ -348,12 +310,10 @@ impl CompletionQueue {
 mod tests {
     use super::*;
 
-    /// Drain everything due at `now`, asserting FIFO within the cycle.
+    /// Everything due at or before `now`, in drain order.
     fn drain(q: &mut EventQueue, now: Cycle) -> Vec<u32> {
         let mut out = Vec::new();
-        while let Some(id) = q.pop_due(now) {
-            out.push(id);
-        }
+        q.drain_due(now, &mut out);
         out
     }
 
@@ -364,7 +324,7 @@ mod tests {
         q.push(5, 10);
         q.push(5, 20);
         assert_eq!(q.next_due(), Some(5));
-        assert!(q.pop_due(4).is_none(), "nothing due before cycle 5");
+        assert!(drain(&mut q, 4).is_empty(), "nothing due before cycle 5");
         assert_eq!(drain(&mut q, 5), vec![30, 10, 20]);
         assert!(q.is_empty());
     }
@@ -376,7 +336,11 @@ mod tests {
         q.push(3, 2);
         q.push(7, 3);
         assert_eq!(q.next_due(), Some(3));
-        assert_eq!(drain(&mut q, 100), vec![2, 3, 1]);
+        assert_eq!(drain(&mut q, 3), vec![2]);
+        assert_eq!(q.next_due(), Some(7));
+        assert_eq!(drain(&mut q, 8), vec![3]);
+        assert_eq!(drain(&mut q, 9), vec![1]);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -388,7 +352,7 @@ mod tests {
         assert_eq!(q.next_due(), Some(2));
         assert_eq!(drain(&mut q, 2), vec![1]);
         assert_eq!(q.next_due(), Some(1000), "overflow feeds next_due");
-        assert!(q.pop_due(999).is_none());
+        assert!(drain(&mut q, 999).is_empty());
         assert_eq!(drain(&mut q, 1000), vec![7]);
         assert!(q.is_empty());
     }
@@ -398,9 +362,9 @@ mod tests {
         let mut q = EventQueue::new(64);
         // Pushed while 100 is beyond the horizon [0, 64): goes to overflow.
         q.push(100, 1);
-        // Advance the window past 40 (pop_due with nothing due slides it),
-        // then 100 is inside [41, 105): goes to the wheel.
-        assert!(q.pop_due(41).is_none());
+        // Advance the window to 41 (a drain slides it up to `now`), so
+        // 100 is inside [41, 105) and the next push goes to the wheel.
+        assert!(drain(&mut q, 41).is_empty());
         q.push(100, 2);
         assert_eq!(drain(&mut q, 100), vec![1, 2], "older overflow entry first");
     }
@@ -411,11 +375,11 @@ mod tests {
         let mut now = 0;
         for round in 0..10u32 {
             q.push(now + 3, round);
-            assert!(q.pop_due(now + 2).is_none());
+            assert!(drain(&mut q, now + 2).is_empty());
             now += 3;
             assert_eq!(drain(&mut q, now), vec![round]);
             now += 61; // full rotation: same slot indices come around again
-            assert!(q.pop_due(now).is_none());
+            assert!(drain(&mut q, now).is_empty());
         }
         assert!(q.is_empty());
     }
@@ -437,39 +401,6 @@ mod tests {
             }
             assert!(q.is_empty());
         }
-    }
-
-    #[test]
-    fn drain_due_matches_repeated_pop_due() {
-        // Dues inside the horizon, beyond it, and equal dues split
-        // across wheel and overflow: a bulk drain yields the same events
-        // in the same order as popping one at a time, and leaves the
-        // same queue behind.
-        let pushes = |q: &mut EventQueue| {
-            q.push(100, 1);
-            q.push(3, 2);
-            q.push(3, 3);
-            q.push(70, 4);
-        };
-        let (mut one, mut bulk) = (EventQueue::new(64), EventQueue::new(64));
-        pushes(&mut one);
-        pushes(&mut bulk);
-        let mut out = Vec::new();
-        for now in [0, 3, 41, 70, 99, 100] {
-            let expected = drain(&mut one, now);
-            out.clear();
-            bulk.drain_due(now, &mut out);
-            assert_eq!(out, expected, "cycle {now}");
-            assert_eq!(bulk.len(), one.len());
-            assert_eq!(bulk.next_due(), one.next_due());
-            if now == 41 {
-                // The window now starts at 41: due 100 joins the wheel
-                // and ties with the overflow entry pushed first.
-                one.push(100, 5);
-                bulk.push(100, 5);
-            }
-        }
-        assert!(bulk.is_empty());
     }
 
     #[test]

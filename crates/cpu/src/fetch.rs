@@ -58,25 +58,10 @@ pub fn select_threads_into(
     picked: &mut Vec<usize>,
 ) {
     let n = infos.len();
+    // Runnable threads in round-robin order starting at the cursor.
+    let start = rr_cursor.checked_rem(n).unwrap_or(0);
     picked.clear();
-    if n == 0 {
-        return;
-    }
-    // Runnable threads in round-robin order starting at the cursor,
-    // written unconditionally and kept by advancing the length (no
-    // data-dependent branch per thread).
-    picked.resize(n, 0);
-    let mut kept = 0;
-    let mut t = rr_cursor % n;
-    for _ in 0..n {
-        picked[kept] = t;
-        kept += usize::from(infos[t].runnable);
-        t += 1;
-        if t == n {
-            t = 0;
-        }
-    }
-    picked.truncate(kept);
+    picked.extend((start..n).chain(0..start).filter(|&t| infos[t].runnable));
     match policy {
         FetchPolicy::RoundRobin => {}
         FetchPolicy::ICount => {

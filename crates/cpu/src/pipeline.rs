@@ -1676,15 +1676,10 @@ impl<M: MemPort> Cpu<M> {
         infos.clear();
         let mut any_runnable = false;
         for t in &self.threads {
-            // Non-short-circuit `&`: the per-thread conditions are data
-            // the host cannot predict, so evaluate them without branches.
-            let live = !t.exhausted;
-            let branch_blocked = t.blocked_on_branch.is_some();
-            let time_blocked = t.fetch_blocked_until > self.now;
-            let runnable = live
-                & !branch_blocked
-                & !time_blocked
-                & (t.decode_buf.len() + self.config.fetch_width <= DECODE_BUF_CAP);
+            let runnable = !t.exhausted
+                && t.blocked_on_branch.is_none()
+                && t.fetch_blocked_until <= self.now
+                && t.decode_buf.len() + self.config.fetch_width <= DECODE_BUF_CAP;
             any_runnable |= runnable;
             infos.push(ThreadFetchInfo {
                 runnable,
@@ -1692,8 +1687,13 @@ impl<M: MemPort> Cpu<M> {
                 ocount: t.ocount,
                 fetched_vector_last: t.fetched_vector_last,
             });
-            self.stats.fetch_branch_stalls += u64::from(live & branch_blocked);
-            self.stats.fetch_icache_stalls += u64::from(live & !branch_blocked & time_blocked);
+            if !t.exhausted {
+                if t.blocked_on_branch.is_some() {
+                    self.stats.fetch_branch_stalls += 1;
+                } else if t.fetch_blocked_until > self.now {
+                    self.stats.fetch_icache_stalls += 1;
+                }
+            }
         }
         let mut chosen = std::mem::take(&mut self.fetch_sel);
         chosen.clear();

@@ -6,14 +6,21 @@
 //! FIFO-within-a-cycle contract the wheel promises. Random interleaved
 //! push/advance/drain schedules (including far-future pushes that land
 //! in the overflow bucket, and long jumps that cross several wheel
-//! rotations at once) must produce identical pop sequences, identical
+//! rotations at once) must drain identical events, with identical
 //! `next_due` answers and identical lengths at every step.
+//!
+//! `drain_due` promises FIFO order within one due cycle and leaves the
+//! order across due cycles open (the pipeline drains every cycle, so it
+//! never sees more than one). When `now` jumps several cycles, the
+//! wheel's output is therefore grouped by due cycle — a stable sort,
+//! which keeps the within-cycle order it is checking — before it is
+//! compared with the model's total `(due, seq)` order.
 
 use medsim_cpu::EventQueue;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Reference model: totally ordered by `(due, push sequence)`.
 #[derive(Default)]
@@ -32,20 +39,73 @@ impl Model {
         self.heap.peek().map(|&Reverse((d, _, _))| d)
     }
 
-    fn pop_due(&mut self, now: u64) -> Option<u32> {
-        match self.heap.peek() {
-            Some(&Reverse((d, _, _))) if d <= now => self.heap.pop().map(|Reverse((_, _, id))| id),
-            _ => None,
+    /// Every event due at or before `now` as `(due, id)`, in
+    /// `(due, seq)` order.
+    fn drain_due(&mut self, now: u64) -> Vec<(u64, u32)> {
+        let mut out = Vec::new();
+        while let Some(&Reverse((d, _, id))) = self.heap.peek() {
+            if d > now {
+                break;
+            }
+            self.heap.pop();
+            out.push((d, id));
         }
+        out
     }
 }
 
-/// One random schedule: returns the full pop trace for cross-seed
+/// The queue under test and the model, driven in lock step.
+struct Pair {
+    q: EventQueue,
+    model: Model,
+    /// Due cycle of every pushed id, to group the wheel's output.
+    due_of: HashMap<u32, u64>,
+    out: Vec<u32>,
+}
+
+impl Pair {
+    fn new(wheel_slots: usize) -> Self {
+        Pair {
+            q: EventQueue::new(wheel_slots),
+            model: Model::default(),
+            due_of: HashMap::new(),
+            out: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, due: u64, id: u32) {
+        self.q.push(due, id);
+        self.model.push(due, id);
+        self.due_of.insert(id, due);
+    }
+
+    fn next_due(&self) -> Option<u64> {
+        let due = self.model.next_due();
+        assert_eq!(self.q.next_due(), due, "next_due");
+        due
+    }
+
+    /// Drain both at `now`, assert they agree (per due cycle, in FIFO
+    /// order) and leave the same queue behind, and return the drained
+    /// `(due, id)` pairs.
+    fn drain(&mut self, now: u64, ctx: &str) -> Vec<(u64, u32)> {
+        self.out.clear();
+        self.q.drain_due(now, &mut self.out);
+        let mut got: Vec<(u64, u32)> = self.out.iter().map(|&id| (self.due_of[&id], id)).collect();
+        got.sort_by_key(|&(due, _)| due);
+        let want = self.model.drain_due(now);
+        assert_eq!(got, want, "{ctx} at now={now}");
+        assert_eq!(self.q.len(), self.model.heap.len(), "{ctx} len");
+        self.next_due();
+        got
+    }
+}
+
+/// One random schedule: returns the full drain trace for cross-seed
 /// sanity.
 fn run_schedule(seed: u64, wheel_slots: usize, steps: usize) -> Vec<(u64, u32)> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut q = EventQueue::new(wheel_slots);
-    let mut model = Model::default();
+    let mut pair = Pair::new(wheel_slots);
     let mut now = 0u64;
     let mut next_id = 0u32;
     let mut trace = Vec::new();
@@ -56,22 +116,13 @@ fn run_schedule(seed: u64, wheel_slots: usize, steps: usize) -> Vec<(u64, u32)> 
         // occasionally far past a whole wheel rotation.
         now += match rng.gen_range(0..10u32) {
             0..=5 => rng.gen_range(0..3u64),
-            6..=7 => model.next_due().map_or(1, |d| d.saturating_sub(now).max(1)),
+            6..=7 => pair.next_due().map_or(1, |d| d.saturating_sub(now).max(1)),
             8 => rng.gen_range(0..2 * wheel_slots as u64),
             _ => rng.gen_range(0..8u64),
         };
 
         // Drain everything due, in lock step.
-        loop {
-            assert_eq!(q.next_due(), model.next_due(), "step {step} next_due");
-            let (a, b) = (q.pop_due(now), model.pop_due(now));
-            assert_eq!(a, b, "step {step} at now={now}: wheel {a:?} vs model {b:?}");
-            match a {
-                Some(id) => trace.push((now, id)),
-                None => break,
-            }
-        }
-        assert_eq!(q.len(), model.heap.len(), "step {step} len");
+        trace.extend(pair.drain(now, &format!("step {step}")));
 
         // Push a burst of events: mostly short-horizon (FU latencies,
         // cache hits), some same-cycle ties, a tail far enough out to
@@ -84,22 +135,19 @@ fn run_schedule(seed: u64, wheel_slots: usize, steps: usize) -> Vec<(u64, u32)> 
                 _ => rng.gen_range(wheel_slots as u64..4 * wheel_slots as u64),
             };
             next_id += 1;
-            q.push(now + offset, next_id);
-            model.push(now + offset, next_id);
+            pair.push(now + offset, next_id);
         }
     }
 
-    // Final drain: everything left must come out in model order.
-    loop {
-        let due = model.next_due();
-        assert_eq!(q.next_due(), due);
-        let Some(due) = due else { break };
+    // Final drain: everything left must come out in model order, one
+    // due cycle at a time.
+    while let Some(due) = pair.next_due() {
         now = now.max(due);
-        let (a, b) = (q.pop_due(now), model.pop_due(now));
-        assert_eq!(a, b, "final drain at {now}");
-        trace.push((now, a.expect("due event")));
+        let drained = pair.drain(now, "final drain");
+        assert!(!drained.is_empty(), "due event at {now}");
+        trace.extend(drained);
     }
-    assert!(q.is_empty());
+    assert!(pair.q.is_empty());
     trace
 }
 
@@ -120,8 +168,7 @@ fn default_sized_wheel_matches_too() {
 
 #[test]
 fn same_cycle_bursts_pop_fifo_through_rotations() {
-    let mut q = EventQueue::new(64);
-    let mut model = Model::default();
+    let mut pair = Pair::new(64);
     let mut id = 0u32;
     let mut now = 0;
     // Many rotations of dense same-cycle bursts.
@@ -129,45 +176,31 @@ fn same_cycle_bursts_pop_fifo_through_rotations() {
         let due = now + 1 + (round % 7);
         for _ in 0..8 {
             id += 1;
-            q.push(due, id);
-            model.push(due, id);
+            pair.push(due, id);
         }
-        // Partial drains at intermediate times, then the due cycle.
-        for t in [due - 1, due] {
-            now = t;
-            loop {
-                let (a, b) = (q.pop_due(now), model.pop_due(now));
-                assert_eq!(a, b, "round {round} at {now}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
+        // A drain before the due cycle finds nothing; the due cycle
+        // drains the whole burst.
+        now = due - 1;
+        assert!(pair.drain(now, &format!("round {round}")).is_empty());
+        now = due;
+        assert_eq!(pair.drain(now, &format!("round {round}")).len(), 8);
     }
-    assert!(q.is_empty());
+    assert!(pair.q.is_empty());
 }
 
 #[test]
 fn overflow_heavy_schedule_stays_ordered() {
-    // Everything lands beyond the horizon, then time sweeps across.
-    let mut q = EventQueue::new(64);
-    let mut model = Model::default();
+    // Everything lands beyond the horizon, then time sweeps across in
+    // jumps that span several due cycles at once.
+    let mut pair = Pair::new(64);
     let mut rng = SmallRng::seed_from_u64(7);
     for id in 1..=300u32 {
         let due = rng.gen_range(500..4000u64);
-        q.push(due, id);
-        model.push(due, id);
+        pair.push(due, id);
     }
     let mut now = 0;
-    while !q.is_empty() {
+    while !pair.q.is_empty() {
         now += rng.gen_range(1..40u64);
-        loop {
-            assert_eq!(q.next_due(), model.next_due());
-            let (a, b) = (q.pop_due(now), model.pop_due(now));
-            assert_eq!(a, b, "at {now}");
-            if a.is_none() {
-                break;
-            }
-        }
+        pair.drain(now, "sweep");
     }
 }
