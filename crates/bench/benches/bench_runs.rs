@@ -21,14 +21,8 @@
 //!   insts/sec;
 //! * `packed_block_decode` — the same trace through
 //!   [`PackedStream::next_block_into`] (whole blocks into a reused
-//!   buffer, memoized word decode) — the decoder the CPU model and the
-//!   sharded frontend actually drive, printed against the per-inst
-//!   row;
-//! * `sharded_frontend` — one fig5-scale 8-thread SMT+MOM run with the
-//!   sharded frontend (per-context producer threads behind bounded
-//!   rings, budgeted by `MEDSIM_JOBS`), printed against the inline
-//!   reference run on an identical fresh cache; results are asserted
-//!   bitwise equal;
+//!   buffer, memoized word decode) — the decoder the CPU model
+//!   actually drives, printed against the per-inst row;
 //! * `event_queue` — a synthetic completion stream through the
 //!   calendar-queue scheduler (`sim_cycles` holds *operations*, so
 //!   `sim_cycles_per_sec` reads as queue ops/sec), printed against the
@@ -40,15 +34,8 @@
 //!   decoupled run-ahead vector-fetch unit on (gated), printed against
 //!   the coupled reference; a depth-0 run is asserted bitwise equal to
 //!   the coupled machine (the structural off-path);
-//! * `cmp_4core` — a 4-core × 2-thread CMP run (private L1s, one
-//!   shared L2/DRAM backend) under the environment-default machine;
-//!   the serial reference schedule is timed alongside and asserted
-//!   bitwise equal;
-//! * `cmp_4core_quantum` — the same machine forced onto the
-//!   quantum-parallel schedule with an explicit roomy budget (so the
-//!   worker/quantum path is exercised and asserted bitwise-equal on
-//!   every CI axis); its wall-clock is the tentpole speedup metric on
-//!   the jobs=4 axis, where real phase-A workers exist;
+//! * `cmp_4core` — one 4-core × 2-thread CMP run (private L1s, one
+//!   shared L2/DRAM backend);
 //! * `fig5_real_cold_store` / `fig5_real_warm_store` — the figure-5
 //!   grid with a persistent trace store (`MEDSIM_TRACE_DIR`), first
 //!   against an empty directory (synthesize + write-back), then against
@@ -60,8 +47,7 @@
 
 use medsim_bench::{spec_from_env, timed_secs, BenchRecorder};
 use medsim_core::experiments::fig5_real;
-use medsim_core::frontend::{self, Frontend, JobBudget};
-use medsim_core::runner::{effective_jobs, run_grid, TraceCache};
+use medsim_core::runner::{effective_jobs, run_grid};
 use medsim_core::sim::{SimConfig, Simulation};
 use medsim_cpu::{CompletionQueue, SchedulerKind};
 use medsim_isa::Inst;
@@ -163,8 +149,7 @@ fn main() {
     );
 
     // Block decode of the same trace: whole blocks into a reused
-    // buffer — the replay path the CPU model and the sharded frontend
-    // producers drive.
+    // buffer — the replay path the CPU model drives.
     let (block_decoded, blk_s) = timed_secs(|| {
         let mut s = PackedStream::new(Arc::clone(&packed));
         let mut buf: Vec<Inst> = Vec::new();
@@ -294,97 +279,17 @@ fn main() {
         mem_ref_s / mem_packed_s.max(1e-9),
     );
 
-    // Sharded vs inline frontend on one big 8-thread SMT+MOM run at
-    // the full MEDSIM_SCALE (a fig5-style grid point). Fresh caches on
-    // both sides: trace synthesis/decode is the work the producer
-    // threads overlap with the cycle loop. An explicit roomy budget
-    // (not the MEDSIM_JOBS pool) guarantees the producer/ring path is
-    // actually exercised — and thus gated — even on the jobs=1 CI
-    // axis, where the global pool would silently fall back inline; the
-    // *speedup* still needs a multi-core host, producers merely
-    // timeslice on one core.
-    let big = SimConfig::new(SimdIsa::Mom, 8).with_spec(spec);
-    let (inline_run, inline_s) =
-        timed_secs(|| Simulation::run_fronted(&big, &TraceCache::from_env(), &Frontend::inline()));
-    let shard_stats_before = frontend::stats();
-    let shard_budget = JobBudget::new(8);
-    let sharded_frontend = Frontend::sharded_with(&shard_budget);
-    let (sharded_run, sharded_s) =
-        timed_secs(|| Simulation::run_fronted(&big, &TraceCache::from_env(), &sharded_frontend));
-    assert_eq!(
-        sharded_run, inline_run,
-        "the sharded frontend must be invisible"
-    );
-    recorder.record("sharded_frontend", sharded_s, sharded_run.cycles);
-    println!(
-        "sharded_frontend: sharded {sharded_s:.2}s vs inline {inline_s:.2}s ({:.2}x, \
-         {} shards on {} workers)",
-        inline_s / sharded_s.max(1e-9),
-        frontend::stats().sharded - shard_stats_before.sharded,
-        frontend::total_workers(),
-    );
-
     // A 4-core × 2-thread CMP run (8 contexts, one shared L2/DRAM
-    // backend) at the full MEDSIM_SCALE. Three runs: the serial
-    // reference schedule; a quantum-parallel run on an explicit roomy
-    // budget (so the worker/quantum path is *exercised and asserted
-    // bitwise-equal* even on the jobs=1 CI axis, where the global pool
-    // would fall back serial) — recorded as `cmp_4core_quantum`, the
-    // tentpole wall-clock row whose speedup over serial is only
-    // meaningful on the multi-core jobs=4 axis (BENCH_runs-jobs4; a
-    // 4-participant schedule timeslicing one host core measures
-    // context-switch overhead, not the quantum); and the
-    // environment-default machine (MEDSIM_JOBS decides whether phase-A
-    // workers spawn), recorded as `cmp_4core` — what a user actually
-    // gets, stable on every axis.
+    // backend) at the full MEDSIM_SCALE: the only row that exercises
+    // the multi-core machine layer.
     let cmp = SimConfig::new(SimdIsa::Mom, 2)
         .with_cores(4)
         .with_spec(spec);
+    let (cmp_run, cmp_s) = timed_secs(|| Simulation::run(&cmp));
+    recorder.record("cmp_4core", cmp_s, cmp_run.cycles);
     println!(
-        "{}",
-        medsim_core::report::format_schedule_note(
-            &cmp.clone().with_exec(medsim_core::ExecMode::Parallel)
-        )
-    );
-    let (cmp_serial, cmp_serial_s) = timed_secs(|| {
-        Simulation::run_fronted(
-            &cmp.clone().with_exec(medsim_core::ExecMode::Serial),
-            &TraceCache::from_env(),
-            &Frontend::inline(),
-        )
-    });
-    let cmp_budget = JobBudget::new(8);
-    let cmp_frontend = Frontend::sharded_with(&cmp_budget);
-    let (cmp_parallel, cmp_parallel_s) = timed_secs(|| {
-        Simulation::run_fronted(
-            &cmp.clone().with_exec(medsim_core::ExecMode::Parallel),
-            &TraceCache::from_env(),
-            &cmp_frontend,
-        )
-    });
-    assert_eq!(
-        cmp_parallel, cmp_serial,
-        "quantum-parallel core stepping must be invisible"
-    );
-    recorder.record("cmp_4core_quantum", cmp_parallel_s, cmp_parallel.cycles);
-    let (cmp_default, cmp_default_s) = timed_secs(|| {
-        Simulation::run_fronted(
-            &cmp.clone().with_exec(medsim_core::ExecMode::Parallel),
-            &TraceCache::from_env(),
-            &Frontend::from_env(),
-        )
-    });
-    assert_eq!(
-        cmp_default, cmp_serial,
-        "the default-budget machine must match the reference schedule"
-    );
-    recorder.record("cmp_4core", cmp_default_s, cmp_default.cycles);
-    println!(
-        "cmp_4core: default {cmp_default_s:.2}s, serial {cmp_serial_s:.2}s, \
-         quantum-parallel {cmp_parallel_s:.2}s ({:.2}x serial; 4 cores x 2 threads, \
-         shared L2 hit rate {:.1}%)",
-        cmp_serial_s / cmp_parallel_s.max(1e-9),
-        cmp_default.l2_hit_rate * 100.0,
+        "cmp_4core: {cmp_s:.2}s (4 cores x 2 threads, shared L2 hit rate {:.1}%)",
+        cmp_run.l2_hit_rate * 100.0,
     );
 
     // Cold vs warm persistent trace store around the fig5 grid. The

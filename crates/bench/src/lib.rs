@@ -265,9 +265,7 @@ impl GateMode {
 
 /// The headline rows whose wall-clock regressions fail CI: the
 /// figure-5 grid (end-to-end), the raw single-thread hot path, the
-/// sharded-frontend single big run, the packed block-decode throughput,
-/// the 4-core CMP run under both the environment-default machine
-/// and the forced quantum-parallel schedule, the observability
+/// packed block-decode throughput, the 4-core CMP run, the observability
 /// off-path (a run with every `MEDSIM_TRACE_EVENTS`-family knob off —
 /// the price of the dormant `obs::tracing()` checks on the hot path,
 /// which must stay zero), the decoupled vector-fetch run so the
@@ -279,10 +277,8 @@ impl GateMode {
 pub const GATED_ROWS: &[&str] = &[
     "fig5_real",
     "pipeline_1thread",
-    "sharded_frontend",
     "packed_block_decode",
     "cmp_4core",
-    "cmp_4core_quantum",
     "obs_off_overhead",
     "decoupled_vector",
     "warm_grid",
@@ -640,29 +636,23 @@ mod tests {
     }
 
     #[test]
-    fn new_frontend_and_block_decode_rows_are_gated() {
-        assert!(is_gated("sharded_frontend"));
+    fn cmp_and_block_decode_rows_are_gated() {
+        assert!(is_gated("cmp_4core"));
         assert!(is_gated("packed_block_decode"));
         let old = report(
             Some(1e-4),
-            vec![
-                entry("sharded_frontend", 1.0),
-                entry("packed_block_decode", 0.01),
-            ],
+            vec![entry("cmp_4core", 1.0), entry("packed_block_decode", 0.01)],
         );
-        // sharded_frontend regresses over the floor => gated failure;
+        // cmp_4core regresses over the floor => gated failure;
         // packed_block_decode doubles but stays under the noise floor
         // in both reports => ignored.
         let new = report(
             Some(1e-4),
-            vec![
-                entry("sharded_frontend", 1.5),
-                entry("packed_block_decode", 0.02),
-            ],
+            vec![entry("cmp_4core", 1.5), entry("packed_block_decode", 0.02)],
         );
         let d = evaluate_gate(&old, &new, 0.10, 0.05);
         assert_eq!(d.gated.len(), 1);
-        assert_eq!(d.gated[0].0, "sharded_frontend");
+        assert_eq!(d.gated[0].0, "cmp_4core");
         assert!(d.ungated.is_empty());
     }
 
@@ -710,7 +700,6 @@ mod tests {
         assert!(is_gated("fig5_real"));
         assert!(is_gated("pipeline_1thread"));
         assert!(is_gated("cmp_4core"));
-        assert!(is_gated("cmp_4core_quantum"));
         assert!(is_gated("obs_off_overhead"));
         assert!(is_gated("decoupled_vector"));
         assert!(is_gated("warm_grid"));

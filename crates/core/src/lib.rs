@@ -8,25 +8,15 @@
 //!   the first eight list entries complete) over a configured SMT
 //!   processor and memory hierarchy;
 //! * [`machine`] — the CMP machine layer: `MEDSIM_CORES` SMT cores
-//!   with private L1 levels sharing one L2/DRAM backend behind a
-//!   deterministic bus arbiter; `MEDSIM_EXEC=parallel` steps cores on
-//!   budgeted worker threads in multi-cycle quanta bounded by the
-//!   hierarchy's cross-core interaction latency (`MEDSIM_QUANTUM`
-//!   overrides; `1` degenerates to the per-cycle barrier), bitwise
-//!   identical to the serial reference (`tests/cmp_equivalence.rs`);
+//!   with private L1 levels sharing one L2/DRAM backend, stepped on one
+//!   host thread in fixed core order — the deterministic bus arbiter;
 //! * [`metrics`] — IPC, the **EIPC** metric for cross-ISA comparison
 //!   (`EIPC = (I_MMX / I_MOM) × IPC_MOM`, §5.1), and speedups;
 //! * [`runner`] — the parallel experiment engine: [`runner::run_grid`]
 //!   fans a grid of configurations out across OS threads over a shared
 //!   memoized trace cache (packed `medsim-trace` encoding, layered over
 //!   the persistent `MEDSIM_TRACE_DIR` store), bit-identical to serial
-//!   execution;
-//! * [`frontend`] — decoupled per-thread frontends: trace synthesis and
-//!   packed decode for each simulated thread context run on worker
-//!   threads drawn from the same `MEDSIM_JOBS` budget as the grid,
-//!   feeding the cycle loop through bounded rings of decoded blocks —
-//!   bitwise identical to the inline reference
-//!   (`MEDSIM_FRONTEND=inline`);
+//!   execution — the only place the simulator uses host threads;
 //! * [`experiments`] — one driver per table/figure of the paper's
 //!   evaluation (Tables 1–4, Figures 4–6, 8, 9), all routed through the
 //!   grid runner;
@@ -60,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod frontend;
 pub mod machine;
 pub mod metrics;
 pub mod report;
@@ -69,9 +58,7 @@ pub mod runner;
 pub mod runreport;
 pub mod sim;
 
-pub use frontend::{Frontend, FrontendKind, JobBudget};
-pub use machine::ExecMode;
-pub use metrics::{EipcFactor, RunResult, SchedCounters, VfetchCounters};
+pub use metrics::{EipcFactor, RunResult, VfetchCounters};
 pub use resultstore::{ResultCache, ResultKey, ResultStore, RESULT_FORMAT_VERSION};
 pub use runner::{run_grid, CacheStats, TraceCache};
 pub use runreport::{Roofline, SampleRow, Sampler, REPORT_SCHEMA};

@@ -68,57 +68,12 @@ impl EipcFactor {
     }
 }
 
-/// Counters describing how the machine layer *scheduled* a run: quanta
-/// taken vs. lockstep degenerations, parks by cause, and the deferred
-/// store-drain operations replayed at quantum boundaries.
-///
-/// These describe a **host scheduling decision**, not a property of the
-/// simulated machine: a serial run and a quantum-parallel run of the
-/// same configuration produce bitwise-identical architectural results
-/// (the equivalence suites enforce it) while taking entirely different
-/// paths through the scheduler. `RunResult`'s equality therefore
-/// ignores this block — see the manual `PartialEq` below.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedCounters {
-    /// Barrier rounds that degenerated to per-cycle lockstep (no
-    /// feasible quantum: a thread near its end, or cores too close to
-    /// a refill).
-    pub lockstep_rounds: u64,
-    /// Barrier rounds that ran as a multi-cycle quantum.
-    pub quantum_rounds: u64,
-    /// Total cycles covered by quantum rounds.
-    pub quantum_cycles: u64,
-    /// Quantum-edge parks because phase B would need a synchronous
-    /// backend reply (summed over cores).
-    pub parks_backend_reply: u64,
-    /// Quantum-edge parks from a store-evict / load set collision
-    /// (summed over cores).
-    pub parks_store_evict: u64,
-    /// Deferred store-drain operations replayed at quantum boundaries.
-    pub deferred_replays: u64,
-}
-
-impl SchedCounters {
-    /// Total barrier rounds of either kind.
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.lockstep_rounds + self.quantum_rounds
-    }
-
-    /// Total quantum-edge parks of either cause.
-    #[must_use]
-    pub fn parks(&self) -> u64 {
-        self.parks_backend_reply + self.parks_store_evict
-    }
-}
-
 /// Decoupled vector-fetch unit counters, summed across a machine's
 /// cores (the max-runahead field takes the per-core maximum instead).
 ///
-/// All zeros with the unit off — and unlike [`SchedCounters`] these
-/// describe the *simulated* machine, so `RunResult` equality covers
-/// them: the knob-off equivalence suite thereby proves the off path
-/// never wakes the unit.
+/// All zeros with the unit off. `RunResult` equality covers them, so
+/// the knob-off equivalence suite proves the off path never wakes the
+/// unit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VfetchCounters {
     /// Stream elements issued early, ahead of execute.
@@ -153,7 +108,7 @@ impl VfetchCounters {
 }
 
 /// Everything measured in one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// The ISA the run used.
     pub isa: SimdIsa,
@@ -191,58 +146,6 @@ pub struct RunResult {
     pub dram_bytes: u64,
     /// Decoupled vector-fetch unit counters (all zeros when off).
     pub vfetch: VfetchCounters,
-    /// How the machine layer scheduled the run (all zeros for a serial
-    /// schedule). **Excluded from equality** — see [`SchedCounters`].
-    pub sched: SchedCounters,
-}
-
-/// Equality over the *architectural* outcome only: every field except
-/// [`RunResult::sched`], which records host scheduling decisions that
-/// legitimately differ between bitwise-equivalent serial and parallel
-/// runs of the same configuration.
-impl PartialEq for RunResult {
-    fn eq(&self, other: &Self) -> bool {
-        // Exhaustive destructuring (no `..`): adding a field to
-        // RunResult forces a decision here about whether it is part of
-        // the architectural outcome.
-        let RunResult {
-            isa,
-            threads,
-            cores,
-            hierarchy,
-            cycles,
-            committed,
-            committed_equiv,
-            programs_completed,
-            mispredict_rate,
-            icache_hit_rate,
-            l1_hit_rate,
-            l1_avg_latency,
-            l2_hit_rate,
-            vector_only_cycles,
-            mem_stalls,
-            dram_bytes,
-            vfetch,
-            sched: _,
-        } = self;
-        *isa == other.isa
-            && *threads == other.threads
-            && *cores == other.cores
-            && *hierarchy == other.hierarchy
-            && *cycles == other.cycles
-            && *committed == other.committed
-            && *committed_equiv == other.committed_equiv
-            && *programs_completed == other.programs_completed
-            && *mispredict_rate == other.mispredict_rate
-            && *icache_hit_rate == other.icache_hit_rate
-            && *l1_hit_rate == other.l1_hit_rate
-            && *l1_avg_latency == other.l1_avg_latency
-            && *l2_hit_rate == other.l2_hit_rate
-            && *vector_only_cycles == other.vector_only_cycles
-            && *mem_stalls == other.mem_stalls
-            && *dram_bytes == other.dram_bytes
-            && *vfetch == other.vfetch
-    }
 }
 
 impl RunResult {
@@ -324,13 +227,6 @@ impl RunResult {
                 busy_cycles: sum(&|c| c.stats().vfetch_cycles),
                 occupancy_sum: sum(&|c| c.stats().vfetch_occupancy_sum),
             },
-            sched: SchedCounters {
-                parks_backend_reply: sum(&|c| c.stats().parks_backend_reply),
-                parks_store_evict: sum(&|c| c.stats().parks_store_evict),
-                // Round and replay counts are machine-layer state; the
-                // parallel scheduler fills them in after collection.
-                ..SchedCounters::default()
-            },
         }
     }
 
@@ -404,7 +300,6 @@ mod tests {
             mem_stalls: 0,
             dram_bytes: 0,
             vfetch: VfetchCounters::default(),
-            sched: SchedCounters::default(),
         };
         let mmx = mk(SimdIsa::Mmx);
         assert!(
@@ -436,47 +331,7 @@ mod tests {
             mem_stalls: 0,
             dram_bytes: 0,
             vfetch: VfetchCounters::default(),
-            sched: SchedCounters::default(),
         };
         assert_eq!(r.ipc(), 0.0);
-    }
-
-    #[test]
-    fn equality_ignores_sched_counters() {
-        let base = RunResult {
-            isa: SimdIsa::Mom,
-            threads: 4,
-            cores: 2,
-            hierarchy: HierarchyKind::Conventional,
-            cycles: 1000,
-            committed: 2000,
-            committed_equiv: 4000,
-            programs_completed: 8,
-            mispredict_rate: 0.05,
-            icache_hit_rate: 0.99,
-            l1_hit_rate: 0.9,
-            l1_avg_latency: 2.0,
-            l2_hit_rate: 0.8,
-            vector_only_cycles: 10,
-            mem_stalls: 5,
-            dram_bytes: 4096,
-            vfetch: VfetchCounters::default(),
-            sched: SchedCounters::default(),
-        };
-        let mut parallel = base.clone();
-        parallel.sched = SchedCounters {
-            lockstep_rounds: 3,
-            quantum_rounds: 40,
-            quantum_cycles: 400,
-            parks_backend_reply: 7,
-            parks_store_evict: 2,
-            deferred_replays: 19,
-        };
-        assert_eq!(base, parallel, "sched is a host decision, not an outcome");
-        assert_eq!(parallel.sched.rounds(), 43);
-        assert_eq!(parallel.sched.parks(), 9);
-        let mut different = base.clone();
-        different.cycles += 1;
-        assert_ne!(base, different);
     }
 }

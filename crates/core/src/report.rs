@@ -66,55 +66,6 @@ pub fn format_cmp_curves(title: &str, curves: &[CmpCurve]) -> String {
     out
 }
 
-/// One-line note describing the host stepping schedule of a CMP run:
-/// the exec mode and the resolved parallel-stepping quantum (derived
-/// from the hierarchy's cross-core interaction latency, or forced by
-/// `MEDSIM_QUANTUM` / `SimConfig::quantum`). The benches print it next
-/// to wall-clock numbers so recorded timings say which schedule
-/// produced them — the statistics themselves are bitwise identical
-/// under every schedule.
-#[must_use]
-pub fn format_schedule_note(config: &crate::sim::SimConfig) -> String {
-    let k = crate::machine::resolved_quantum(config);
-    let origin = if config.quantum.is_some() {
-        "forced"
-    } else {
-        "derived"
-    };
-    format!(
-        "schedule: exec={} cores={} quantum={k} ({origin})",
-        config.exec, config.cores
-    )
-}
-
-/// One-line rendering of a run's quantum-scheduler counters
-/// ([`crate::metrics::SchedCounters`]): barrier rounds taken as
-/// multi-cycle quanta vs. per-cycle lockstep degenerations, the mean
-/// quantum length, parks by cause, and deferred-op replays. All zeros
-/// under a serial schedule (the counters describe the host's
-/// scheduling decisions, not the simulated machine).
-#[must_use]
-pub fn format_sched_counters(result: &crate::metrics::RunResult) -> String {
-    let s = &result.sched;
-    let mean_k = if s.quantum_rounds == 0 {
-        0.0
-    } else {
-        s.quantum_cycles as f64 / s.quantum_rounds as f64
-    };
-    format!(
-        "sched: rounds={} (quantum={} lockstep={}) mean-quantum={:.1} \
-         parks={} (backend-reply={} store-evict={}) replays={}",
-        s.rounds(),
-        s.quantum_rounds,
-        s.lockstep_rounds,
-        mean_k,
-        s.parks(),
-        s.parks_backend_reply,
-        s.parks_store_evict,
-        s.deferred_replays,
-    )
-}
-
 /// Render the decoupled-vs-coupled sweep: per configuration, the IPC
 /// and the achieved fraction of the DRAM roofline side by side, plus
 /// the run-ahead unit's own counters. A `-` in a roofline column means
@@ -351,22 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_note_reports_mode_and_quantum() {
-        use crate::machine::ExecMode;
-        use crate::sim::SimConfig;
-        let mut cfg = SimConfig::new(SimdIsa::Mmx, 2)
-            .with_cores(4)
-            .with_exec(ExecMode::Parallel);
-        cfg.quantum = None;
-        let s = format_schedule_note(&cfg);
-        assert!(s.contains("exec=parallel"), "{s}");
-        assert!(s.contains("cores=4"), "{s}");
-        assert!(s.contains("(derived)"), "{s}");
-        let forced = format_schedule_note(&cfg.with_quantum(1));
-        assert!(forced.contains("quantum=1 (forced)"), "{forced}");
-    }
-
-    #[test]
     fn table2_lists_all_programs() {
         let s = format_table2();
         for b in Benchmark::ALL {
@@ -428,37 +363,5 @@ mod tests {
         assert!(s.contains("50.0%"), "coupled roofline fraction: {s}");
         assert!(s.contains("62.5%"), "decoupled roofline fraction: {s}");
         assert!(s.contains("512"), "run-ahead elements: {s}");
-    }
-
-    #[test]
-    fn sched_counters_render_rounds_parks_and_replays() {
-        use crate::metrics::SchedCounters;
-        use crate::sim::SimConfig;
-
-        let config = SimConfig::new(SimdIsa::Mom, 2);
-        let cpu = medsim_cpu::Cpu::new(
-            medsim_cpu::CpuConfig::paper(2, SimdIsa::Mom),
-            medsim_mem::MemSystem::new(medsim_mem::MemConfig::ideal()),
-        );
-        let mut result = crate::metrics::RunResult::collect(&config, &cpu);
-        result.sched = SchedCounters {
-            lockstep_rounds: 5,
-            quantum_rounds: 20,
-            quantum_cycles: 400,
-            parks_backend_reply: 3,
-            parks_store_evict: 1,
-            deferred_replays: 17,
-        };
-        let s = format_sched_counters(&result);
-        assert!(s.contains("rounds=25"), "{s}");
-        assert!(s.contains("quantum=20"), "{s}");
-        assert!(s.contains("lockstep=5"), "{s}");
-        assert!(s.contains("mean-quantum=20.0"), "{s}");
-        assert!(s.contains("parks=4"), "{s}");
-        assert!(s.contains("replays=17"), "{s}");
-
-        result.sched = SchedCounters::default();
-        let zero = format_sched_counters(&result);
-        assert!(zero.contains("mean-quantum=0.0"), "{zero}");
     }
 }

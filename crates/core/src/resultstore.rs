@@ -21,9 +21,8 @@
 //!      0     4  magic  b"MRES"
 //!      4     4  format version (RESULT_FORMAT_VERSION)
 //!      8     8  FNV-1a checksum of the payload
-//!     16   218  payload: the RunResult, fixed-width fields in
-//!               declaration order (enums as u8 tags, f64 as raw bits,
-//!               SchedCounters last as an advisory block)
+//!     16   170  payload: the RunResult, fixed-width fields in
+//!               declaration order (enums as u8 tags, f64 as raw bits)
 //! ```
 //!
 //! Like the trace store, this is a *cache*, never a source of truth:
@@ -37,13 +36,6 @@
 //! complete file, and because producers are deterministic the losers'
 //! bytes equal the winner's.
 //!
-//! [`SchedCounters`] are stored but deliberately **excluded from the
-//! key**, matching their exclusion from [`RunResult`] equality: they
-//! record host scheduling decisions, not architectural outcomes.
-//! Because the key does cover [`SimConfig::exec`] and
-//! [`SimConfig::quantum`], the advisory block a warm hit returns
-//! always came from an identically-scheduled cold run.
-//!
 //! [`ResultCache`] is the read-through/write-back layer
 //! [`crate::sim::Simulation::run_resulted`] and
 //! [`crate::runner::run_grid`] use. It deliberately re-reads the
@@ -53,7 +45,7 @@
 //! ([`medsim_obs::observing`]) — a run that never executes has no
 //! timeline, samples or roofline to emit.
 
-use crate::metrics::{RunResult, SchedCounters, VfetchCounters};
+use crate::metrics::{RunResult, VfetchCounters};
 use crate::runner::TraceCache;
 use crate::sim::SimConfig;
 use medsim_cpu::{CpuConfig, EnvKnobs, FetchPolicy, SchedulerKind, SizingParams};
@@ -68,13 +60,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// On-disk format version of result files; bump on any change to the
 /// header or the [`RunResult`] encoding. Mismatching files are ignored
 /// and self-healed (simulation fallback + write-back).
-pub const RESULT_FORMAT_VERSION: u32 = 1;
+pub const RESULT_FORMAT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"MRES";
 const HEADER_LEN: usize = 16;
 /// Serialized [`RunResult`] size: every field is fixed-width, so any
 /// other payload length is corruption by construction.
-const PAYLOAD_LEN: usize = 218;
+const PAYLOAD_LEN: usize = 170;
 
 /// Content key of one stored result: the FNV-1a hash of the complete
 /// simulation identity. See [`ResultKey::of`] for what participates.
@@ -129,7 +121,6 @@ impl ResultKey {
             isa,
             threads,
             cores,
-            exec,
             hierarchy,
             fetch_policy,
             spec,
@@ -140,12 +131,10 @@ impl ResultKey {
             stream_batch,
             decouple,
             decouple_depth,
-            quantum,
         } = config;
         h.u8(isa_tag(*isa));
         h.usz(*threads);
         h.usz(*cores);
-        h.u8(*exec as u8);
         h.u8(hierarchy_tag(*hierarchy));
         h.u8(policy_tag(*fetch_policy));
         h.u64(spec.scale.to_bits());
@@ -157,13 +146,6 @@ impl ResultKey {
         h.u8(u8::from(*stream_batch));
         h.u8(u8::from(*decouple));
         h.usz(*decouple_depth);
-        match quantum {
-            None => h.u8(0),
-            Some(k) => {
-                h.u8(1);
-                h.u64(*k);
-            }
-        }
         // The memory system the run would actually simulate, resolved
         // the same way the machine builds its cores — so an ablation
         // override and an identical explicit config hash identically.
@@ -494,7 +476,6 @@ fn serialize_result(r: &RunResult) -> Vec<u8> {
         mem_stalls,
         dram_bytes,
         vfetch,
-        sched,
     } = r;
     p.push(isa_tag(*isa));
     p.extend_from_slice(&(*threads as u64).to_le_bytes());
@@ -532,26 +513,6 @@ fn serialize_result(r: &RunResult) -> Vec<u8> {
         flushed_elems,
         busy_cycles,
         occupancy_sum,
-    ] {
-        p.extend_from_slice(&v.to_le_bytes());
-    }
-    // The advisory tail: host-scheduling counters, stored for
-    // reporting but outside the key and outside RunResult equality.
-    let SchedCounters {
-        lockstep_rounds,
-        quantum_rounds,
-        quantum_cycles,
-        parks_backend_reply,
-        parks_store_evict,
-        deferred_replays,
-    } = sched;
-    for v in [
-        lockstep_rounds,
-        quantum_rounds,
-        quantum_cycles,
-        parks_backend_reply,
-        parks_store_evict,
-        deferred_replays,
     ] {
         p.extend_from_slice(&v.to_le_bytes());
     }
@@ -620,14 +581,6 @@ fn parse_result(bytes: &[u8]) -> Result<RunResult, ParseError> {
             flushed_elems: c.u64(),
             busy_cycles: c.u64(),
             occupancy_sum: c.u64(),
-        },
-        sched: SchedCounters {
-            lockstep_rounds: c.u64(),
-            quantum_rounds: c.u64(),
-            quantum_cycles: c.u64(),
-            parks_backend_reply: c.u64(),
-            parks_store_evict: c.u64(),
-            deferred_replays: c.u64(),
         },
     };
     debug_assert_eq!(c.pos, PAYLOAD_LEN, "PAYLOAD_LEN is stale");
@@ -906,14 +859,6 @@ mod tests {
                 busy_cycles: 66,
                 occupancy_sum: 77,
             },
-            sched: SchedCounters {
-                lockstep_rounds: 1,
-                quantum_rounds: 2,
-                quantum_cycles: 24,
-                parks_backend_reply: 3,
-                parks_store_evict: 4,
-                deferred_replays: 5,
-            },
         }
     }
 
@@ -930,14 +875,12 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_every_field_including_advisory_sched() {
+    fn round_trip_preserves_every_field() {
         let r = sample_result();
         let Ok(back) = parse_result(&serialize_result(&r)) else {
             panic!("round trip failed to parse");
         };
-        assert_eq!(back, r, "architectural fields");
-        // RunResult equality skips sched; the store must not.
-        assert_eq!(back.sched, r.sched, "advisory block survives the disk");
+        assert_eq!(back, r);
     }
 
     #[test]
@@ -949,7 +892,6 @@ mod tests {
         store.store(&key(), &r).expect("write");
         let back = store.load(&key()).expect("warm load");
         assert_eq!(back, r);
-        assert_eq!(back.sched, r.sched);
         let stats = store.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.writes, 1);

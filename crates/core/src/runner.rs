@@ -40,7 +40,6 @@
 //!   complete identity hash matches a stored run return its
 //!   [`RunResult`] without simulating at all.
 
-use crate::frontend::{total_workers, JobBudget};
 use crate::metrics::RunResult;
 use crate::resultstore::ResultCache;
 use crate::sim::{SimConfig, Simulation};
@@ -52,7 +51,7 @@ use medsim_workloads::trace::{
 use medsim_workloads::{Workload, WorkloadSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default in-memory budget for packed traces: 256 MiB. The former
 /// `Vec<Inst>` ceiling (4M insts × 64 B) allowed the same bytes, so the
@@ -217,9 +216,7 @@ impl TraceCache {
     /// under `isa`, memoized when enabled and the estimated packed size
     /// fits the byte budget; read through (and written back to) the
     /// persistent store when one is configured. This is the interface
-    /// the CPU model consumes — and the call a sharded frontend's
-    /// producer thread runs, so synthesis and decode happen off the
-    /// cycle loop.
+    /// the CPU model consumes.
     ///
     /// # Panics
     ///
@@ -443,9 +440,25 @@ impl TraceCache {
     }
 }
 
+/// Host worker threads of the process: `MEDSIM_JOBS` if set, else the
+/// machine's available parallelism. Resolved once per process.
+#[must_use]
+pub fn total_workers() -> usize {
+    static TOTAL: OnceLock<usize> = OnceLock::new();
+    *TOTAL.get_or_init(|| {
+        std::env::var("MEDSIM_JOBS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&j| j > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
+    })
+}
+
 /// Worker-thread count for a grid of `n_configs` runs: the process's
-/// [`total_workers`] budget (`MEDSIM_JOBS`, else available
-/// parallelism), capped at the number of runs.
+/// [`total_workers`] (`MEDSIM_JOBS`, else available parallelism),
+/// capped at the number of runs.
 #[must_use]
 pub fn effective_jobs(n_configs: usize) -> usize {
     total_workers().min(n_configs).max(1)
@@ -500,13 +513,7 @@ pub fn run_grid_resulted(
             .map(|c| Simulation::run_resulted(c, cache, results))
             .collect();
     }
-    // Grid workers and frontend shards draw from the same MEDSIM_JOBS
-    // pool: claim the extra workers (beyond the calling thread, which
-    // blocks while the grid runs) so the per-run sharded frontends
-    // inside the workers see an exhausted budget and produce inline
-    // instead of oversubscribing the host.
     let workers = jobs.min(configs.len());
-    let _claim = JobBudget::global().claim_up_to(workers - 1);
     let next = AtomicUsize::new(0);
     let done = Mutex::new(Vec::with_capacity(configs.len()));
     std::thread::scope(|scope| {

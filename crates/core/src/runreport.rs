@@ -7,10 +7,8 @@
 //! report has four sections:
 //!
 //! * `config` — what was simulated (ISA, threads, cores, hierarchy,
-//!   workload scale/seed, schedule);
+//!   workload scale/seed);
 //! * `result` — the end-of-run [`RunResult`] counters and rates;
-//! * `sched` — the machine layer's quantum-scheduler counters
-//!   ([`SchedCounters`]);
 //! * `roofline` — operational intensity and achieved vs. DRAM-bound
 //!   bandwidth from the DRDRAM channel model (see [`Roofline`]);
 //! * `samples` — the interval sampler's per-core time-series
@@ -26,12 +24,12 @@ use medsim_cpu::Cpu;
 use medsim_obs::{escape_json, json_f64};
 
 /// Schema tag of the per-run report (bump on breaking shape changes).
-pub const REPORT_SCHEMA: &str = "medsim-run-report/v1";
+pub const REPORT_SCHEMA: &str = "medsim-run-report/v2";
 
 /// One row of the interval time-series: one core over one sampling
 /// interval. Rates are **interval deltas** (what happened since the
 /// previous sample), occupancies are instantaneous at the sample
-/// cycle, park counts are cumulative.
+/// cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleRow {
     /// Machine cycle the sample was taken at.
@@ -52,8 +50,6 @@ pub struct SampleRow {
     pub mshr_outstanding: usize,
     /// Scalar-data MSHR capacity.
     pub mshr_capacity: usize,
-    /// Cumulative quantum-edge parks (both causes) on this core.
-    pub parks: u64,
 }
 
 /// Per-core counter snapshot the sampler diffs against.
@@ -82,13 +78,11 @@ fn snap_of(cpu: &Cpu, cycle: u64) -> CoreSnap {
 
 /// The interval sampler: snapshots every core every
 /// `MEDSIM_SAMPLE_CYCLES` machine cycles into [`SampleRow`]s. The
-/// machine layer probes it once per boundary; with the knob off no
-/// sampler exists and the probe is a `None` check. Idle fast-forward
-/// can jump the clock across several intervals — the sampler records
-/// one row batch at the crossing and skips the intervals the jump
-/// proved empty. Under a quantum-parallel schedule samples land on
-/// quantum boundaries, so the effective granularity is
-/// `max(interval, quantum)`.
+/// machine layer probes it once per machine cycle; with the knob off
+/// no sampler exists and the probe is a `None` check. Idle
+/// fast-forward can jump the clock across several intervals — the
+/// sampler records one row batch at the crossing and skips the
+/// intervals the jump proved empty.
 #[derive(Debug)]
 pub struct Sampler {
     interval: u64,
@@ -163,7 +157,6 @@ impl Sampler {
                 wbuf_capacity,
                 mshr_outstanding,
                 mshr_capacity,
-                parks: cpu.stats().parks_backend_reply + cpu.stats().parks_store_evict,
             });
             self.last[core] = snap;
         }
@@ -297,7 +290,7 @@ fn sample_row_json(r: &SampleRow) -> String {
     format!(
         "{{\"cycle\": {}, \"core\": {}, \"ipc\": {}, \"l1d_hit_rate\": {}, \
          \"l1i_hit_rate\": {}, \"wbuf_occupancy\": {}, \"wbuf_capacity\": {}, \
-         \"mshr_outstanding\": {}, \"mshr_capacity\": {}, \"parks\": {}}}",
+         \"mshr_outstanding\": {}, \"mshr_capacity\": {}}}",
         r.cycle,
         r.core,
         json_f64(r.ipc),
@@ -307,7 +300,6 @@ fn sample_row_json(r: &SampleRow) -> String {
         r.wbuf_capacity,
         r.mshr_outstanding,
         r.mshr_capacity,
-        r.parks,
     )
 }
 
@@ -324,16 +316,13 @@ pub fn report_json(
     out.push_str(&format!("  \"schema\": \"{}\",\n", REPORT_SCHEMA));
     out.push_str(&format!(
         "  \"config\": {{\n    \"isa\": \"{}\",\n    \"threads\": {},\n    \"cores\": {},\n    \
-         \"hierarchy\": \"{}\",\n    \"scale\": {},\n    \"seed\": {},\n    \"exec\": \"{}\",\n    \
-         \"quantum\": {}\n  }},\n",
+         \"hierarchy\": \"{}\",\n    \"scale\": {},\n    \"seed\": {}\n  }},\n",
         escape_json(&format!("{:?}", config.isa)),
         config.threads,
         config.cores.max(1),
         escape_json(&format!("{:?}", config.hierarchy)),
         json_f64(config.spec.scale),
         config.spec.seed,
-        config.exec.label(),
-        crate::machine::resolved_quantum(config),
     ));
     out.push_str(&format!(
         "  \"result\": {{\n    \"cycles\": {},\n    \"committed\": {},\n    \
@@ -354,18 +343,6 @@ pub fn report_json(
         json_f64(result.l2_hit_rate),
         result.vector_only_cycles,
         result.mem_stalls,
-    ));
-    let s = &result.sched;
-    out.push_str(&format!(
-        "  \"sched\": {{\n    \"lockstep_rounds\": {},\n    \"quantum_rounds\": {},\n    \
-         \"quantum_cycles\": {},\n    \"parks_backend_reply\": {},\n    \
-         \"parks_store_evict\": {},\n    \"deferred_replays\": {}\n  }},\n",
-        s.lockstep_rounds,
-        s.quantum_rounds,
-        s.quantum_cycles,
-        s.parks_backend_reply,
-        s.parks_store_evict,
-        s.deferred_replays,
     ));
     out.push_str(&format!("  \"roofline\": {},\n", roofline.to_json()));
     match sampler {
@@ -393,7 +370,6 @@ pub fn report_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::SchedCounters;
     use medsim_mem::HierarchyKind;
     use medsim_workloads::trace::SimdIsa;
 
@@ -416,7 +392,6 @@ mod tests {
             mem_stalls: 3,
             dram_bytes: 0,
             vfetch: crate::metrics::VfetchCounters::default(),
-            sched: SchedCounters::default(),
         }
     }
 

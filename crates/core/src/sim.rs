@@ -9,8 +9,7 @@
 //! This avoids having fractions of time with less threads than those
 //! allowed by the machine."*
 
-use crate::frontend::Frontend;
-use crate::machine::{self, ExecMode};
+use crate::machine;
 use crate::metrics::RunResult;
 use crate::resultstore::{ResultCache, ResultKey};
 use crate::runner::TraceCache;
@@ -31,10 +30,6 @@ pub struct SimConfig {
     /// private L1 levels, all sharing one L2/DRAM backend. The default
     /// of `1` is the paper's machine.
     pub cores: usize,
-    /// How the host steps the cores of a CMP each cycle (serial
-    /// reference order, or phase-A-parallel behind a barrier). Results
-    /// are bitwise identical either way; irrelevant at `cores = 1`.
-    pub exec: ExecMode,
     /// Cache-hierarchy organization.
     pub hierarchy: HierarchyKind,
     /// SMT fetch policy.
@@ -65,14 +60,6 @@ pub struct SimConfig {
     /// early-issued elements. `0` disables run-ahead issuing entirely —
     /// bitwise identical to `decouple = false`.
     pub decouple_depth: usize,
-    /// Parallel-stepping quantum override in cycles (`MEDSIM_QUANTUM`):
-    /// how long each core of a parallel CMP steps between shared-
-    /// backend synchronizations. `None` derives it from the active
-    /// memory configuration's minimum cross-core interaction latency
-    /// (see [`machine::quantum_cycles`]); `1` (or `0`) forces the
-    /// degenerate per-cycle lockstep schedule. Results are bitwise
-    /// identical for every value; irrelevant under [`ExecMode::Serial`].
-    pub quantum: Option<u64>,
 }
 
 impl SimConfig {
@@ -88,7 +75,6 @@ impl SimConfig {
             isa,
             threads,
             cores: machine::cores_from_env(),
-            exec: ExecMode::from_env(),
             hierarchy: HierarchyKind::Conventional,
             fetch_policy: FetchPolicy::RoundRobin,
             spec: WorkloadSpec::default(),
@@ -99,7 +85,6 @@ impl SimConfig {
             stream_batch: knobs.stream_batch,
             decouple: knobs.decouple,
             decouple_depth: knobs.decouple_depth,
-            quantum: knobs.quantum,
         }
     }
 
@@ -107,14 +92,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores;
-        self
-    }
-
-    /// Builder: select the host stepping mode for a CMP (differential
-    /// testing; results are identical either way).
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -145,14 +122,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_decouple_depth(mut self, depth: usize) -> Self {
         self.decouple_depth = depth;
-        self
-    }
-
-    /// Builder: force the parallel-stepping quantum to `k` cycles
-    /// (differential testing; `1` degenerates to per-cycle lockstep).
-    #[must_use]
-    pub fn with_quantum(mut self, k: u64) -> Self {
-        self.quantum = Some(k);
         self
     }
 
@@ -214,9 +183,7 @@ impl Simulation {
     }
 
     /// Execute one run, drawing program traces through `cache` (shared
-    /// by [`crate::runner::run_grid`] across a whole grid of runs),
-    /// under the environment-selected frontend (see
-    /// [`crate::frontend`]).
+    /// by [`crate::runner::run_grid`] across a whole grid of runs).
     ///
     /// # Panics
     ///
@@ -238,6 +205,10 @@ impl Simulation {
     /// bitwise identical: the store only ever holds what an identical
     /// run produced.
     ///
+    /// The run is executed by the machine layer ([`crate::machine`]):
+    /// one core by default, or a CMP of [`SimConfig::cores`] SMT cores
+    /// sharing an L2/DRAM backend, stepped serially in core order.
+    ///
     /// # Panics
     ///
     /// Panics if the run exceeds `config.max_cycles` (indicates a
@@ -249,35 +220,15 @@ impl Simulation {
         results: &ResultCache,
     ) -> RunResult {
         if !results.active() {
-            return Simulation::run_fronted(config, cache, &Frontend::from_env());
+            return machine::run(config, cache);
         }
         let key = ResultKey::of(config, cache);
         if let Some(hit) = results.load(&key) {
             return hit;
         }
-        let result = Simulation::run_fronted(config, cache, &Frontend::from_env());
+        let result = machine::run(config, cache);
         results.save(&key, &result);
         result
-    }
-
-    /// Execute one run under an explicit [`Frontend`]: sharded
-    /// (per-thread producer workers feeding bounded rings of decoded
-    /// blocks) or inline (the serial reference). Results are bitwise
-    /// identical across frontends — the consumer sees the exact same
-    /// instruction sequence either way, just earlier (enforced by
-    /// `tests/frontend_equivalence.rs`).
-    ///
-    /// The run is executed by the machine layer ([`crate::machine`]):
-    /// one core by default, or a CMP of [`SimConfig::cores`] SMT cores
-    /// sharing an L2/DRAM backend, stepped per [`SimConfig::exec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run exceeds `config.max_cycles` (indicates a
-    /// deadlocked model — should never happen).
-    #[must_use]
-    pub fn run_fronted(config: &SimConfig, cache: &TraceCache, frontend: &Frontend) -> RunResult {
-        machine::run(config, cache, frontend)
     }
 }
 

@@ -35,7 +35,7 @@ pub mod stats;
 
 pub use config::{CpuConfig, EnvKnobs, FetchPolicy, SizingParams};
 pub use events::{CompletionQueue, EventQueue, SchedulerKind};
-pub use pipeline::{Cpu, MemPort, ParkCause};
+pub use pipeline::{Cpu, MemPort};
 pub use stats::CpuStats;
 
 /// Simulation time in CPU cycles.

@@ -56,38 +56,6 @@ pub trait MemPort {
     /// a single call (see [`MemSystem::request_stream`]).
     fn request_stream(&mut self, now: Cycle, req: StreamRequest) -> StreamReply;
 
-    /// Whether issuing this data access might need a synchronous reply
-    /// from a shared backend (see [`MemSystem::request_would_defer`]).
-    /// A core stepping inside a multi-cycle quantum parks at the
-    /// quantum edge before issuing such an access. The default covers
-    /// ports with no shared backend.
-    fn request_would_defer(&self, _addr: u64, _kind: AccessKind) -> bool {
-        false
-    }
-
-    /// Instruction-fetch analogue of
-    /// [`MemPort::request_would_defer`].
-    fn ifetch_would_defer(&self, _addr: u64) -> bool {
-        false
-    }
-
-    /// The L1D set a store to `addr` would write-allocate into if it
-    /// misses — `Some(set)` means issuing the store evicts that set's
-    /// LRU way, which can turn a probed-resident load in the same
-    /// cycle into a backend miss (see
-    /// [`MemSystem::store_would_evict_set`]). The default covers ports
-    /// where stores cannot evict.
-    fn store_would_evict_set(&self, _addr: u64) -> Option<u64> {
-        None
-    }
-
-    /// The L1D set serving `addr` (pure geometry) — pairs with
-    /// [`MemPort::store_would_evict_set`] in the quantum park
-    /// predicate's set-collision check.
-    fn l1d_set_of(&self, _addr: u64) -> u64 {
-        0
-    }
-
     /// Run-ahead variant of [`MemPort::request_stream`], used by the
     /// decoupled vector-fetch unit: loads only, and the port may hold
     /// the whole request back (issuing nothing) to keep MSHR headroom
@@ -121,26 +89,6 @@ impl MemPort for MemSystem {
     #[inline]
     fn request_stream_runahead(&mut self, now: Cycle, req: StreamRequest) -> StreamReply {
         MemSystem::request_stream_runahead(self, now, req)
-    }
-
-    #[inline]
-    fn request_would_defer(&self, addr: u64, kind: AccessKind) -> bool {
-        MemSystem::request_would_defer(self, addr, kind)
-    }
-
-    #[inline]
-    fn ifetch_would_defer(&self, addr: u64) -> bool {
-        MemSystem::ifetch_would_defer(self, addr)
-    }
-
-    #[inline]
-    fn store_would_evict_set(&self, addr: u64) -> Option<u64> {
-        MemSystem::store_would_evict_set(self, addr)
-    }
-
-    #[inline]
-    fn l1d_set_of(&self, addr: u64) -> u64 {
-        MemSystem::l1d_set_of(self, addr)
     }
 
     #[inline]
@@ -300,13 +248,8 @@ struct ThreadCtx {
     /// indexed read from here — no virtual dispatch per instruction.
     block: Vec<Inst>,
     lookahead: Option<Inst>,
-    /// Blocks pulled ahead of `block` by the quantum-horizon probe
-    /// ([`Cpu::quantum_horizon`]), consumed before asking the source
-    /// again — the instruction sequence is exactly the one a serial
-    /// schedule pulls, just buffered earlier.
-    pending: VecDeque<Vec<Inst>>,
-    /// Block-oriented instruction supply (a generator adapter, a packed
-    /// trace decoder, or a sharded frontend's ring consumer).
+    /// Block-oriented instruction supply (a generator adapter or a
+    /// packed trace decoder).
     source: Option<Box<dyn InstSource>>,
 }
 
@@ -316,7 +259,6 @@ impl ThreadCtx {
             source: None,
             block: Vec::new(),
             block_pos: 0,
-            pending: VecDeque::new(),
             lookahead: None,
             decode_buf: DecodeRing::new(),
             fetch_blocked_until: 0,
@@ -332,19 +274,13 @@ impl ThreadCtx {
     }
 
     /// Next instruction from the current block, refilling from the
-    /// pulled-ahead blocks first and the source at block boundaries.
-    /// `None` means the program ended.
+    /// source at block boundaries. `None` means the program ended.
     #[inline]
     fn next_from_block(&mut self) -> Option<Inst> {
         loop {
             if let Some(&inst) = self.block.get(self.block_pos) {
                 self.block_pos += 1;
                 return Some(inst);
-            }
-            if let Some(b) = self.pending.pop_front() {
-                self.block = b;
-                self.block_pos = 0;
-                continue;
             }
             let src = self.source.as_mut()?;
             self.block_pos = 0;
@@ -354,73 +290,6 @@ impl ThreadCtx {
             }
         }
     }
-
-    /// Ensure at least `need` upcoming instructions are buffered
-    /// core-locally (lookahead + rest of the current block +
-    /// pulled-ahead blocks), pulling whole blocks from the source as
-    /// required. Returns the buffered count, which stays below `need`
-    /// only when the program is near its end. Never flips `exhausted`
-    /// — that transition belongs to fetch.
-    fn buffered_ahead(&mut self, need: usize) -> usize {
-        let mut have = usize::from(self.lookahead.is_some())
-            + (self.block.len() - self.block_pos)
-            + self.pending.iter().map(Vec::len).sum::<usize>();
-        while have < need {
-            let Some(src) = self.source.as_mut() else {
-                break;
-            };
-            let mut b = Vec::new();
-            if !src.next_block(&mut b) {
-                break;
-            }
-            have += b.len();
-            self.pending.push_back(b);
-        }
-        have
-    }
-
-    /// The next `n` buffered instructions, without consuming them —
-    /// exactly the prefix [`ThreadCtx::next_from_block`] would return.
-    fn peek_buffered(&self, n: usize) -> impl Iterator<Item = Inst> + '_ {
-        self.lookahead
-            .iter()
-            .copied()
-            .chain(self.block[self.block_pos..].iter().copied())
-            .chain(self.pending.iter().flat_map(|b| b.iter().copied()))
-            .take(n)
-    }
-}
-
-/// Per-cycle activity carried between the pipeline's phase methods
-/// (see [`Cpu::cycle_compute`]): a CMP machine runs the phases of its
-/// cores under a barrier schedule, so the counts cannot live on the
-/// stack of one `cycle()` call.
-#[derive(Debug, Clone, Copy, Default)]
-struct PhaseScratch {
-    completed: usize,
-    committed: usize,
-    issued: [usize; 4],
-    dispatched: usize,
-    fetched: u64,
-    fetch_active: bool,
-    /// Stream elements the decoupled vector-fetch unit issued early
-    /// this cycle (activity: the cycle moved architectural state).
-    vfetch_issued: u64,
-}
-
-/// Why a core stepping inside a multi-cycle quantum parked at the
-/// quantum edge instead of running phase B (see
-/// [`Cpu::step_quantum`]). Counted per cause in
-/// [`CpuStats::parks_backend_reply`] / [`CpuStats::parks_store_evict`]
-/// and surfaced in the machine layer's scheduler counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParkCause {
-    /// A ready access (load/prefetch miss, store admission, or an
-    /// I-fetch line miss) would need a synchronous backend reply.
-    BackendReply = 0,
-    /// A ready store's write-allocate eviction could collide with a
-    /// probed-resident ready load's L1 set within the same cycle.
-    StoreEvict = 1,
 }
 
 /// The SMT processor, timed over any [`MemPort`].
@@ -460,10 +329,6 @@ pub struct Cpu<M: MemPort = MemSystem> {
     /// Event-driven idle skip enabled (identical results either way;
     /// see [`Cpu::set_fast_forward`]).
     fast_forward: bool,
-    /// The core stopped mid-cycle at a quantum edge: phase A of the
-    /// current cycle is done, phase B needs the shared backend (see
-    /// [`Cpu::step_quantum`]).
-    parked: bool,
     /// Observability lane (core index) trace events report under;
     /// cosmetic, never read by the timing model.
     obs_lane: u32,
@@ -475,8 +340,6 @@ pub struct Cpu<M: MemPort = MemSystem> {
     fetch_infos: Vec<ThreadFetchInfo>,
     /// Scratch for the fetch thread selection (reused every cycle).
     fetch_sel: Vec<usize>,
-    /// Activity counters of the phase currently in flight.
-    phase: PhaseScratch,
 }
 
 impl<M: MemPort> Cpu<M> {
@@ -508,12 +371,10 @@ impl<M: MemPort> Cpu<M> {
             ready_event: false,
             issue_blocked_ready: false,
             fast_forward: true,
-            parked: false,
             obs_lane: 0,
             vfetch: VecDeque::new(),
             fetch_infos: Vec::with_capacity(threads),
             fetch_sel: Vec::with_capacity(threads),
-            phase: PhaseScratch::default(),
             config,
         }
     }
@@ -547,9 +408,8 @@ impl<M: MemPort> Cpu<M> {
         &self.mem
     }
 
-    /// Mutable access to the memory port — the machine layer's quantum
-    /// scheduler uses it to enter and leave deferred mode around
-    /// [`Cpu::step_quantum`].
+    /// Mutable access to the memory port (occupancy probes of the
+    /// interval sampler).
     pub fn mem_mut(&mut self) -> &mut M {
         &mut self.mem
     }
@@ -580,7 +440,6 @@ impl<M: MemPort> Cpu<M> {
         t.source = Some(source);
         t.block.clear();
         t.block_pos = 0;
-        t.pending.clear();
         t.exhausted = false;
         t.lookahead = None;
         t.last_fetch_line = u64::MAX;
@@ -598,12 +457,9 @@ impl<M: MemPort> Cpu<M> {
         self.attach_source(tid, Box::new(StreamSource::new(stream)));
     }
 
-    /// Drop every context's instruction source (ring consumers of a
-    /// sharded frontend included), unblocking any producer thread still
-    /// waiting to ship blocks into a full ring. The machine layer calls
-    /// this once a run completes, before its thread scope joins the
-    /// producers; all statistics stay intact. The core must not be
-    /// cycled afterwards.
+    /// Drop every context's instruction source, releasing the decoders
+    /// and trace buffers they hold once a run completes; all statistics
+    /// stay intact. The core must not be cycled afterwards.
     pub fn detach_sources(&mut self) {
         for t in &mut self.threads {
             t.source = None;
@@ -640,28 +496,14 @@ impl<M: MemPort> Cpu<M> {
     }
 
     /// Advance exactly one cycle — no idle fast-forward — returning
-    /// whether anything moved. A CMP machine steps every core with this
+    /// whether anything moved (`false` means nothing can move until a
+    /// completion or an I-fetch wakeup: the fast-forward precondition).
+    /// A CMP machine steps every core with this, in fixed core order,
     /// and applies a machine-level fast-forward only when *no* core had
     /// activity (all cores share one clock, so no core may jump alone).
     pub fn cycle_no_ff(&mut self) -> bool {
-        self.cycle_compute();
-        self.cycle_mem_frontend();
-        self.cycle_finish()
-    }
-
-    /// Phase A of one cycle: **complete**, **commit** and issue from
-    /// the integer/FP/SIMD queues — every stage that touches only
-    /// core-private state, never the [`MemPort`]. A CMP machine runs
-    /// this phase for all cores concurrently (the phases commute across
-    /// cores); the single-core [`Cpu::cycle`] runs it inline. Must be
-    /// followed by [`Cpu::cycle_mem_frontend`] then
-    /// [`Cpu::cycle_finish`].
-    pub fn cycle_compute(&mut self) {
-        self.phase = PhaseScratch {
-            completed: self.complete(),
-            ..PhaseScratch::default()
-        };
-        self.phase.committed = self.commit();
+        let completed = self.complete();
+        let committed = self.commit();
         // A completion marked registers ready: every queue prefix that
         // was known-blocked must be rescanned.
         if self.ready_event {
@@ -669,283 +511,49 @@ impl<M: MemPort> Cpu<M> {
             self.ready_event = false;
         }
         self.issue_blocked_ready = false;
-        self.phase.issued[0] = self.issue_queue(QueueKind::Int, self.config.int_issue);
-        self.phase.issued[2] = self.issue_queue(QueueKind::Fp, self.config.fp_issue);
-        self.phase.issued[3] = self.issue_queue(QueueKind::Simd, self.config.simd_issue);
-        self.stats.issued[0] += self.phase.issued[0] as u64;
-        self.stats.issued[2] += self.phase.issued[2] as u64;
-        self.stats.issued[3] += self.phase.issued[3] as u64;
-    }
-
-    /// Phase B of one cycle: memory issue, dispatch and fetch — the
-    /// stages that talk to the [`MemPort`]. In a CMP the machine layer
-    /// is the bus arbiter: it runs this phase core by core in **fixed
-    /// core order** behind the phase-A barrier, so the shared L2/DRAM
-    /// backend sees a deterministic request sequence no matter how the
-    /// host schedules the phase-A workers.
-    pub fn cycle_mem_frontend(&mut self) {
-        self.phase.issued[1] = self.issue_mem();
-        self.stats.issued[1] += self.phase.issued[1] as u64;
+        let int_i = self.issue_queue(QueueKind::Int, self.config.int_issue);
+        let fp_i = self.issue_queue(QueueKind::Fp, self.config.fp_issue);
+        let simd_i = self.issue_queue(QueueKind::Simd, self.config.simd_issue);
+        let mem_i = self.issue_mem();
+        self.stats.issued[0] += int_i as u64;
+        self.stats.issued[1] += mem_i as u64;
+        self.stats.issued[2] += fp_i as u64;
+        self.stats.issued[3] += simd_i as u64;
         // The decoupled vector-fetch unit runs after demand issue (it
         // uses whatever ports demand traffic left free) and before
         // dispatch (entries dispatched this cycle wait a cycle before
-        // running ahead, so the quantum park predicate — evaluated
-        // before phase B — has seen every entry the unit can touch).
-        self.vfetch_run();
-        self.phase.dispatched = self.dispatch();
+        // running ahead).
+        let vfetch_issued = self.vfetch_run();
+        let dispatched = self.dispatch();
         let fetched_before = self.stats.fetched;
-        self.phase.fetch_active = self.fetch();
-        self.phase.fetched = self.stats.fetched - fetched_before;
-    }
-
-    /// Close the cycle opened by [`Cpu::cycle_compute`]: per-cycle
-    /// diagnostics, the clock tick, and the activity verdict (`false`
-    /// means nothing moved and nothing can move until a completion or
-    /// an I-fetch wakeup — the fast-forward precondition).
-    pub fn cycle_finish(&mut self) -> bool {
-        let [int_i, mem_i, fp_i, simd_i] = self.phase.issued;
+        let fetch_active = self.fetch();
         // §5.3 diagnostic: cycles where only the vector pipe issued.
         if simd_i > 0 && int_i == 0 && fp_i == 0 && mem_i == 0 {
             self.stats.vector_only_cycles += 1;
         }
-        if simd_i + int_i + fp_i + mem_i == 0 {
+        let issued = int_i + mem_i + fp_i + simd_i;
+        if issued == 0 {
             self.stats.idle_cycles += 1;
         }
         if medsim_obs::tracing() {
             use medsim_obs::EventKind;
-            medsim_obs::note_cycle(self.now);
-            if self.phase.fetched > 0 {
-                medsim_obs::emit(
-                    self.now,
-                    self.obs_lane,
-                    EventKind::Fetch,
-                    self.phase.fetched,
-                );
+            let fetched = self.stats.fetched - fetched_before;
+            if fetched > 0 {
+                medsim_obs::emit(self.now, self.obs_lane, EventKind::Fetch, fetched);
             }
-            let issued = (int_i + mem_i + fp_i + simd_i) as u64;
             if issued > 0 {
-                medsim_obs::emit(self.now, self.obs_lane, EventKind::Issue, issued);
+                medsim_obs::emit(self.now, self.obs_lane, EventKind::Issue, issued as u64);
             }
-            if self.phase.committed > 0 {
-                medsim_obs::emit(
-                    self.now,
-                    self.obs_lane,
-                    EventKind::Commit,
-                    self.phase.committed as u64,
-                );
+            if committed > 0 {
+                medsim_obs::emit(self.now, self.obs_lane, EventKind::Commit, committed as u64);
             }
         }
         self.now += 1;
         self.stats.cycles = self.now;
-        self.phase.completed + self.phase.committed + self.phase.dispatched != 0
-            || int_i + mem_i + fp_i + simd_i != 0
-            || self.phase.fetch_active
-            || self.phase.vfetch_issued > 0
+        completed + committed + dispatched + issued != 0
+            || fetch_active
+            || vfetch_issued > 0
             || self.issue_blocked_ready
-    }
-
-    /// How many cycles this core can provably step without its
-    /// instruction sources or a machine-level refill: per live thread,
-    /// enough instructions are pulled ahead ([`ThreadCtx::pending`])
-    /// that at least `fetch_width` stay buffered at every cycle of the
-    /// returned horizon — so in-quantum fetches never query a (possibly
-    /// blocking) source and thread exhaustion cannot flip inside a
-    /// quantum. `0` (take lockstep cycles instead) when a thread is
-    /// already exhausted — it could drain and need the machine's
-    /// program-list refill at any cycle — or near its end. Capped at
-    /// `want`.
-    pub fn quantum_horizon(&mut self, want: u64) -> u64 {
-        let fw = self.config.fetch_width.max(1);
-        let need = (want as usize + 1) * fw;
-        let mut h = want;
-        for t in &mut self.threads {
-            if t.exhausted {
-                return 0;
-            }
-            let buffered = t.buffered_ahead(need);
-            // `buffered / fw` full fetch groups cover that many cycles;
-            // keep one group in reserve so the horizon's last cycle
-            // still fetches without touching the source.
-            h = h.min(((buffered / fw) as u64).saturating_sub(1));
-            if h == 0 {
-                return 0;
-            }
-        }
-        h
-    }
-
-    /// Whether running phase B ([`Cpu::cycle_mem_frontend`]) this cycle
-    /// might need a synchronous reply from the shared backend.
-    /// Conservative: it checks every ready memory-queue entry (not just
-    /// the ones the issue scan would pick) and every runnable thread's
-    /// upcoming fetch lines (not just the threads the fetch policy
-    /// would choose) — it may park a core whose cycle would have stayed
-    /// private, never the reverse (the deferred-mode assertion in
-    /// `MemSystem::with_backend` enforces that). Returns the park
-    /// cause, or `None` when phase B is provably private this cycle.
-    fn phase_b_would_park(&self) -> Option<ParkCause> {
-        // Memory issue: any ready element whose access could consult
-        // the backend. Directly — a load/prefetch that would miss L1 —
-        // or indirectly: a store's write-allocate evicts its set's LRU
-        // way, so a store miss issued earlier in this same cycle can
-        // turn a probed-resident load into a real miss before the load
-        // issues. Collect the sets ready store misses would allocate
-        // into; a collision with any ready load's set parks the core
-        // (order-agnostic, so conservative — the load may well issue
-        // first or the victim may be a different way).
-        let qi = queue_idx(QueueKind::Mem);
-        let mut evict_sets: Vec<u64> = Vec::new();
-        for e in &self.queues[qi] {
-            self.debug_check_entry(e);
-            if !self.rename.sources_ready(&e.srcs) {
-                continue;
-            }
-            let d = &self.slab[e.id as usize];
-            let Some(mem) = d.inst.mem else {
-                continue;
-            };
-            let kind = access_kind(&d.inst);
-            for e in d.mem_elems_issued..mem.count {
-                let addr = mem.elem_addr(e);
-                if self.mem.request_would_defer(addr, kind) {
-                    return Some(ParkCause::BackendReply);
-                }
-                if kind.is_store() {
-                    if let Some(set) = self.mem.store_would_evict_set(addr) {
-                        evict_sets.push(set);
-                    }
-                }
-            }
-        }
-        if !evict_sets.is_empty() {
-            // Second pass only when a store miss is in play (rare):
-            // check every ready load element's set for a collision.
-            for e in &self.queues[qi] {
-                if !self.rename.sources_ready(&e.srcs) {
-                    continue;
-                }
-                let d = &self.slab[e.id as usize];
-                let Some(mem) = d.inst.mem else {
-                    continue;
-                };
-                let kind = access_kind(&d.inst);
-                if kind.is_store() {
-                    continue;
-                }
-                for e in d.mem_elems_issued..mem.count {
-                    if evict_sets.contains(&self.mem.l1d_set_of(mem.elem_addr(e))) {
-                        return Some(ParkCause::StoreEvict);
-                    }
-                }
-            }
-        }
-        // Decoupled run-ahead: the vector-fetch unit issues loads in
-        // phase B too, and it does NOT wait for source registers.
-        // Conservative: scan the whole access queue, not just the
-        // run-ahead window — drains earlier in the same phase can
-        // slide entries into the window.
-        if self.config.decouple {
-            for e in &self.vfetch {
-                let d = &self.slab[e.id as usize];
-                if d.state != InstState::InQueue {
-                    continue;
-                }
-                let Some(mem) = d.inst.mem else {
-                    continue;
-                };
-                for el in d.mem_elems_issued..mem.count {
-                    if self
-                        .mem
-                        .request_would_defer(mem.elem_addr(el), AccessKind::VectorLoad)
-                    {
-                        return Some(ParkCause::BackendReply);
-                    }
-                }
-            }
-        }
-        // Fetch: any runnable thread whose fetch group would cross into
-        // an I-line that misses. Dispatch (which runs before fetch) can
-        // free decode-buffer space, so buffer occupancy must NOT gate
-        // runnability here — only the conditions phase B cannot change.
-        for t in &self.threads {
-            if t.exhausted || t.blocked_on_branch.is_some() || t.fetch_blocked_until > self.now {
-                continue;
-            }
-            let mut line = t.last_fetch_line;
-            for inst in t.peek_buffered(self.config.fetch_width) {
-                let l = inst.pc & !(ICACHE_LINE - 1);
-                if l != line {
-                    if self.mem.ifetch_would_defer(l) {
-                        return Some(ParkCause::BackendReply);
-                    }
-                    line = l;
-                }
-                if inst.branch.map(|b| b.taken).unwrap_or(false) {
-                    break;
-                }
-            }
-        }
-        None
-    }
-
-    /// Whether the core stopped mid-cycle at a quantum edge (phase A of
-    /// the cycle at [`Cpu::now`] done, phase B pending the backend —
-    /// see [`Cpu::step_quantum`]).
-    #[must_use]
-    pub fn parked(&self) -> bool {
-        self.parked
-    }
-
-    /// Step independently up to `bound` with zero shared-backend
-    /// synchronization — the inside of one scheduling quantum. The
-    /// `MemPort` must already be in deferred mode: fire-and-forget
-    /// store-drain traffic is logged (cycle-stamped) for the boundary
-    /// replay instead of hitting the backend. Before each cycle's
-    /// phase B the core checks [`Cpu::phase_b_would_park`]; a cycle
-    /// that might need a backend reply leaves the core **parked** with
-    /// phase A done and its clock frozen — the machine layer's
-    /// boundary sweep finishes it ([`Cpu::finish_parked_cycle`]) once
-    /// all logs up to that cycle are drained. `fast_forward` mirrors
-    /// the machine-level idle skip (clipped at `bound`); pass the
-    /// machine's setting.
-    pub fn step_quantum(&mut self, bound: Cycle, fast_forward: bool) {
-        debug_assert!(!self.parked, "finish the parked cycle first");
-        while self.now < bound {
-            self.cycle_compute();
-            if let Some(cause) = self.phase_b_would_park() {
-                match cause {
-                    ParkCause::BackendReply => self.stats.parks_backend_reply += 1,
-                    ParkCause::StoreEvict => self.stats.parks_store_evict += 1,
-                }
-                if medsim_obs::tracing() {
-                    medsim_obs::emit(
-                        self.now,
-                        self.obs_lane,
-                        medsim_obs::EventKind::Park,
-                        cause as u64,
-                    );
-                }
-                self.parked = true;
-                return;
-            }
-            self.cycle_mem_frontend();
-            let active = self.cycle_finish();
-            if fast_forward && !active {
-                if let Some(w) = self.fast_forward_wake() {
-                    self.apply_fast_forward(w.min(bound));
-                }
-            }
-        }
-    }
-
-    /// Finish the cycle a quantum park left half-done: phase B and the
-    /// cycle close, with the backend live again (the machine layer has
-    /// replayed every core's deferred traffic up to this cycle).
-    pub fn finish_parked_cycle(&mut self) {
-        debug_assert!(self.parked, "no parked cycle to finish");
-        self.parked = false;
-        self.cycle_mem_frontend();
-        let _ = self.cycle_finish();
     }
 
     /// Jump from the current (already advanced) cycle to the next cycle
@@ -1435,11 +1043,11 @@ impl<M: MemPort> Cpu<M> {
     /// which doubles as the vector-data-queue capacity since a fully
     /// issued stream keeps its slot until execute drains it — are
     /// eligible; a stalled entry (ports, MSHR headroom) blocks the
-    /// younger entries behind it.
-    fn vfetch_run(&mut self) {
-        self.phase.vfetch_issued = 0;
+    /// younger entries behind it. Returns the elements issued early
+    /// this cycle.
+    fn vfetch_run(&mut self) -> u64 {
         if !self.config.decouple || self.vfetch.is_empty() {
-            return;
+            return 0;
         }
         self.stats.vfetch_cycles += 1;
         self.stats.vfetch_occupancy_sum += self.vfetch.len() as u64;
@@ -1488,7 +1096,6 @@ impl<M: MemPort> Cpu<M> {
             }
         }
         self.stats.vfetch_runahead_elems += issued_total;
-        self.phase.vfetch_issued = issued_total;
         // Run-ahead distance: entries holding early-issued elements
         // ahead of execute. Entries only move toward the queue front,
         // so every flagged entry sits inside the window — the distance
@@ -1503,6 +1110,7 @@ impl<M: MemPort> Cpu<M> {
                 issued_total,
             );
         }
+        issued_total
     }
 
     /// Remove a drained (completed) vector load from the access queue.

@@ -643,7 +643,7 @@ enum Model {
 }
 
 /// A banked set-associative cache (tags only). Pure geometry helpers
-/// (`line_addr`, `bank_of`, `set_index`) use precomputed shift/mask
+/// (`line_addr`, `bank_of`) use precomputed shift/mask
 /// pairs regardless of model; line state lives in the selected
 /// [`CacheModel`].
 #[derive(Debug, Clone)]
@@ -651,7 +651,6 @@ pub struct Cache {
     config: CacheConfig,
     line_mask: u64,
     line_shift: u32,
-    set_mask: u64,
     /// `banks - 1` when the bank count is a power of two (always, per
     /// the [`CacheConfig`] contract — asserted for the packed model).
     bank_mask: u64,
@@ -672,7 +671,6 @@ impl Cache {
     /// banks) fall back to the reference model.
     #[must_use]
     pub fn with_model(config: CacheConfig, model: CacheModel) -> Self {
-        let sets = config.sets();
         assert!(
             config.line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -686,7 +684,6 @@ impl Cache {
         Cache {
             line_mask: !(config.line_bytes - 1),
             line_shift: config.line_bytes.trailing_zeros(),
-            set_mask: sets - 1,
             bank_mask: config.banks as u64 - 1,
             inner,
             config,
@@ -729,14 +726,6 @@ impl Cache {
     #[must_use]
     pub fn bank_of(&self, addr: u64) -> usize {
         ((addr >> self.line_shift) & self.bank_mask) as usize
-    }
-
-    /// Set index serving `addr` (pure geometry — no state touched).
-    /// Two addresses can only evict each other when their sets match.
-    #[inline]
-    #[must_use]
-    pub fn set_index(&self, addr: u64) -> u64 {
-        (addr >> self.line_shift) & self.set_mask
     }
 
     /// Pure presence probe (tag match, ready or in flight) — no
@@ -877,9 +866,6 @@ mod tests {
             assert_eq!(c.bank_of(0x00), 0);
             assert_eq!(c.bank_of(0x20), 1);
             assert_eq!(c.bank_of(0x40), 0);
-            assert_eq!(c.set_index(0x00), 0);
-            assert_eq!(c.set_index(0x20), 1);
-            assert_eq!(c.set_index(0x80), 0);
         }
     }
 

@@ -133,18 +133,6 @@ impl MemConfig {
     pub fn ideal() -> Self {
         MemConfig::paper_with(HierarchyKind::Ideal)
     }
-
-    /// The minimum cross-core interaction latency of this hierarchy in
-    /// cycles — the conservative lookahead bound for quantum-stepped
-    /// CMP simulation. A request one core issues can influence another
-    /// core only through the shared L2/DRAM backend, and nothing comes
-    /// back out of the backend faster than an L2 hit, so a core that
-    /// stays inside its private levels cannot affect (or be affected
-    /// by) its neighbours for at least `l2_latency` cycles.
-    #[must_use]
-    pub fn quantum_bound(&self) -> u64 {
-        self.l2_latency.max(1)
-    }
 }
 
 impl Default for MemConfig {

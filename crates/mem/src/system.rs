@@ -22,7 +22,7 @@
 //! arbiter drains requests in fixed core order), preserving the
 //! non-decreasing-`now` contract across the whole chip.
 
-use crate::backend::{DeferredOp, L2Backend, SharedL2};
+use crate::backend::{L2Backend, SharedL2};
 use crate::cache::Cache;
 use crate::config::{HierarchyKind, MemConfig};
 use crate::mshr::{MshrFile, MshrOutcome};
@@ -255,13 +255,6 @@ pub struct MemSystem {
     /// Observability lane (core index in a CMP) this system's trace
     /// events report under; cosmetic, never read by the timing model.
     obs_lane: u32,
-    /// When set (a core stepping inside a multi-cycle quantum), the
-    /// fire-and-forget write-buffer drain traffic is logged into
-    /// `drain_log` instead of touching the shared backend; every other
-    /// backend access is forbidden (the machine layer parks the core at
-    /// the quantum edge before it can happen).
-    defer: bool,
-    drain_log: Vec<DeferredOp>,
     stats: MemStats,
 }
 
@@ -302,8 +295,6 @@ impl MemSystem {
             l1i_banks: vec![0; config.l1i.banks].into_boxed_slice(),
             backend,
             obs_lane: 0,
-            defer: false,
-            drain_log: Vec::new(),
             stats: MemStats::default(),
             config,
         }
@@ -329,30 +320,8 @@ impl MemSystem {
         (self.d_mshrs.outstanding(now), self.d_mshrs.capacity())
     }
 
-    /// Enter deferred mode for a quantum: until [`MemSystem::end_defer`]
-    /// is called, fire-and-forget store-drain traffic is logged instead
-    /// of hitting the backend, and any other backend access is a bug
-    /// (the machine layer must park the core first — see
-    /// [`MemSystem::request_would_defer`]).
-    pub fn begin_defer(&mut self) {
-        debug_assert!(self.drain_log.is_empty(), "stale drain log");
-        self.defer = true;
-    }
-
-    /// Leave deferred mode, returning the cycle-stamped log of backend
-    /// operations the core emitted during the quantum (in issue order,
-    /// so non-decreasing `at`).
-    pub fn end_defer(&mut self) -> Vec<DeferredOp> {
-        self.defer = false;
-        std::mem::take(&mut self.drain_log)
-    }
-
     /// Run `f` over the (owned or shared) backend.
     fn with_backend<R>(&mut self, f: impl FnOnce(&mut L2Backend) -> R) -> R {
-        debug_assert!(
-            !self.defer,
-            "backend access during a quantum: the park predicate missed this request"
-        );
         match &mut self.backend {
             Backend::Owned(b) => f(b),
             Backend::Shared(m) => f(&mut m.lock().expect("L2 backend poisoned")),
@@ -854,18 +823,7 @@ impl MemSystem {
                     // buffered line consumes an L2 bank slot, contending
                     // with read misses. This is the bandwidth wall the
                     // decoupled hierarchy's port split alleviates (§5.4).
-                    // Nothing flows back to the core, so inside a
-                    // quantum the slot is logged and replayed at the
-                    // boundary in (cycle, core) order.
-                    if self.defer {
-                        self.drain_log.push(DeferredOp {
-                            at: now,
-                            line,
-                            start,
-                        });
-                    } else {
-                        self.with_backend(|b| b.store_drain_slot(line, start));
-                    }
+                    self.with_backend(|b| b.store_drain_slot(line, start));
                 }
             }
             // Write-through: update L1 if present (no allocate on miss).
@@ -967,70 +925,6 @@ impl MemSystem {
             done_at: done,
             l1_hit: hit_l2,
         }
-    }
-
-    /// Whether issuing this data access *might* touch the shared
-    /// backend with a reply the core consumes immediately — i.e.
-    /// whether a core stepping inside a quantum must park at the
-    /// quantum edge before issuing it. Conservative (may say `true`
-    /// for an access that would stay private — e.g. an MSHR-full
-    /// rejection); never `false` for one that reaches the backend:
-    ///
-    /// * ideal hierarchy — no backend at all;
-    /// * decoupled vector path — always a direct L2 access;
-    /// * through-L1 stores — only ever emit the fire-and-forget drain
-    ///   slot, which the deferral log captures;
-    /// * through-L1 loads/prefetches — reach the backend only on a
-    ///   real L1 miss (probe-resident lines, including in-fill ones,
-    ///   are served from private state).
-    ///
-    /// A load's `false` verdict rests on an L1 probe taken before the
-    /// cycle runs, and a store miss issued earlier in the *same* cycle
-    /// write-allocates — evicting a line from its set. The park
-    /// predicate closes that gap with
-    /// [`MemSystem::store_would_evict_set`]: it must also park when a
-    /// ready store's allocation set collides with a ready load's set.
-    #[must_use]
-    pub fn request_would_defer(&self, addr: u64, kind: AccessKind) -> bool {
-        match self.config.hierarchy {
-            HierarchyKind::Ideal => false,
-            HierarchyKind::Decoupled if kind.is_vector() => true,
-            _ if kind.is_store() => false,
-            _ => !self.l1d.probe(addr),
-        }
-    }
-
-    /// The instruction-fetch analogue of
-    /// [`MemSystem::request_would_defer`]: an I-fetch reaches the
-    /// backend only on a real I-cache miss.
-    #[must_use]
-    pub fn ifetch_would_defer(&self, addr: u64) -> bool {
-        self.config.hierarchy != HierarchyKind::Ideal && !self.l1i.probe(addr)
-    }
-
-    /// The L1 data set a store to `addr` would write-allocate into if
-    /// it misses ([`Cache::access`] installs the line and evicts the
-    /// set's LRU way even in the write-through L1). `None` when the
-    /// store cannot evict anything: no L1 on this hierarchy's path, or
-    /// the line is already resident (hit stores only touch LRU/dirty
-    /// state). The quantum park predicate needs this because an
-    /// in-cycle eviction can invalidate the probe a load's no-park
-    /// verdict rested on — see [`MemSystem::request_would_defer`].
-    #[must_use]
-    pub fn store_would_evict_set(&self, addr: u64) -> Option<u64> {
-        match self.config.hierarchy {
-            HierarchyKind::Ideal => None,
-            _ if self.l1d.probe(addr) => None,
-            _ => Some(self.l1d.set_index(addr)),
-        }
-    }
-
-    /// The L1 data set serving `addr` (pure geometry) — the companion
-    /// to [`MemSystem::store_would_evict_set`] for the load side of
-    /// the collision check.
-    #[must_use]
-    pub fn l1d_set_of(&self, addr: u64) -> u64 {
-        self.l1d.set_index(addr)
     }
 
     fn wbuf_would_accept(&mut self, now: Cycle, line: u64) -> bool {
@@ -1327,65 +1221,6 @@ mod tests {
         let _ = m.request(a.done_at, load(0x123400)).unwrap();
         assert_eq!(m.stats().l1_accesses, 2);
         assert!(m.stats().avg_l1_latency() > 1.0);
-    }
-
-    #[test]
-    fn deferred_store_drain_replays_to_the_same_backend_state() {
-        use std::sync::Arc;
-        let config = MemConfig::paper();
-        // Reference: a direct store drains an L2 bank slot immediately.
-        let direct_backend = L2Backend::shared(&config);
-        let mut direct =
-            MemSystem::with_shared_backend(config.clone(), Arc::clone(&direct_backend));
-        direct.request(0, store(0x8000)).unwrap();
-        // Deferred: the same store only logs; the backend stays
-        // untouched until the boundary replay.
-        let shared = L2Backend::shared(&config);
-        let mut m = MemSystem::with_shared_backend(config.clone(), Arc::clone(&shared));
-        m.begin_defer();
-        m.request(0, store(0x8000)).unwrap();
-        let log = m.end_defer();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].at, 0);
-        for op in log {
-            shared.lock().unwrap().replay(op);
-        }
-        // Identical observable backend state: an access right behind
-        // the drained slot conflicts the same way in both.
-        let conflicts = |b: &SharedL2| {
-            let mut b = b.lock().unwrap();
-            let _ = b.access_sized(0, 0x8000, false, 32);
-            b.stats().bank_conflicts
-        };
-        let (c1, c2) = (conflicts(&direct_backend), conflicts(&shared));
-        assert_eq!(c1, c2);
-        assert!(c1 >= 1);
-    }
-
-    #[test]
-    fn would_defer_predicates_track_private_residency() {
-        let mut m = sys(HierarchyKind::Conventional);
-        // Cold line: a load would reach the backend.
-        assert!(m.request_would_defer(0xb000, AccessKind::ScalarLoad));
-        // Stores never need the backend synchronously (drain is logged).
-        assert!(!m.request_would_defer(0xb000, AccessKind::ScalarStore));
-        // Once resident (even still in flight), loads stay private.
-        let r = m.request(0, load(0xb000)).unwrap();
-        assert!(!m.request_would_defer(0xb000, AccessKind::ScalarLoad));
-        let _ = r;
-        // I-side analogue.
-        assert!(m.ifetch_would_defer(0xc000));
-        let t = m.ifetch(0, 0, 0xc000);
-        assert!(!m.ifetch_would_defer(0xc000));
-        let _ = t;
-        // Ideal memory never touches a backend.
-        let ideal = sys(HierarchyKind::Ideal);
-        assert!(!ideal.request_would_defer(0xb000, AccessKind::ScalarLoad));
-        assert!(!ideal.ifetch_would_defer(0xb000));
-        // The decoupled vector path always goes straight to L2.
-        let d = sys(HierarchyKind::Decoupled);
-        assert!(d.request_would_defer(0xb000, AccessKind::VectorLoad));
-        assert!(d.request_would_defer(0xb000, AccessKind::VectorStore));
     }
 
     #[test]

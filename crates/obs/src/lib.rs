@@ -174,11 +174,8 @@ pub fn set_report_path(path: Option<&str>) {
 // Events
 // ---------------------------------------------------------------------------
 
-/// Synthetic lane id for machine-level events (run + quantum spans).
+/// Synthetic lane id for machine-level events (the run span).
 pub const LANE_MACHINE: u32 = u32::MAX;
-/// Synthetic lane id for frontend worker events (ring stalls, budget
-/// waits) — they happen on host worker threads, not on a core.
-pub const LANE_FRONTEND: u32 = u32::MAX - 1;
 /// Synthetic lane id for the shared L2/DRAM backend.
 pub const LANE_SHARED_MEM: u32 = u32::MAX - 2;
 
@@ -198,18 +195,6 @@ pub enum EventKind {
     L2Miss,
     /// DRAM channel access (`arg` = 0 read, 1 write).
     DramAccess,
-    /// A multi-cycle quantum round begins (`arg` = quantum length).
-    QuantumBegin,
-    /// The quantum round's merge finished (`arg` = replayed ops).
-    QuantumEnd,
-    /// A core parked at the quantum edge (`arg` = 0 backend-reply
-    /// cause, 1 store-evict cause).
-    Park,
-    /// A core blocked on an empty frontend ring (`arg` = 0).
-    RingStall,
-    /// A frontend fell back to inline synthesis because the job
-    /// budget was dry (`arg` = 0).
-    BudgetWait,
     /// A machine run begins (`arg` = core count).
     RunBegin,
     /// A machine run ends (`arg` = total cycles).
@@ -226,7 +211,7 @@ pub enum EventKind {
 /// [`EVENT_CAP`] events and counts drops past that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Simulated cycle (host-approximate for frontend lanes).
+    /// Simulated cycle.
     pub ts: u64,
     /// Core index, or one of the `LANE_*` synthetic lanes.
     pub lane: u32,
@@ -248,24 +233,6 @@ static SINK: Mutex<Sink> = Mutex::new(Sink {
     events: Vec::new(),
     dropped: 0,
 });
-
-/// Latest cycle any core reported while tracing — gives frontend-lane
-/// events (which fire on host worker threads) an approximate
-/// timestamp. A relaxed hint, not a clock.
-static NOW_HINT: AtomicU64 = AtomicU64::new(0);
-
-/// Record the current cycle of a core so off-core lanes can
-/// timestamp approximately. Call only under [`tracing`].
-#[inline]
-pub fn note_cycle(now: u64) {
-    NOW_HINT.store(now, Ordering::Relaxed);
-}
-
-/// The last cycle noted via [`note_cycle`] (0 before any).
-#[inline]
-pub fn approx_now() -> u64 {
-    NOW_HINT.load(Ordering::Relaxed)
-}
 
 /// Append one event to the sink. Emission sites call this only under
 /// an `if obs::tracing()` branch; calling it with tracing off is
@@ -300,7 +267,6 @@ pub fn drain_events() -> (Vec<Event>, u64) {
 fn lane_tid(lane: u32) -> u64 {
     match lane {
         LANE_MACHINE => 1000,
-        LANE_FRONTEND => 1001,
         LANE_SHARED_MEM => 1002,
         core => u64::from(core),
     }
@@ -314,10 +280,6 @@ fn event_name(kind: EventKind) -> &'static str {
         EventKind::L1Miss => "l1_miss",
         EventKind::L2Miss => "l2_miss",
         EventKind::DramAccess => "dram",
-        EventKind::QuantumBegin | EventKind::QuantumEnd => "quantum",
-        EventKind::Park => "park",
-        EventKind::RingStall => "ring_stall",
-        EventKind::BudgetWait => "budget_wait",
         EventKind::RunBegin | EventKind::RunEnd => "run",
         EventKind::VfetchIssue => "vfetch_issue",
         EventKind::VfetchFlush => "vfetch_flush",
@@ -326,8 +288,8 @@ fn event_name(kind: EventKind) -> &'static str {
 
 fn event_phase(kind: EventKind) -> &'static str {
     match kind {
-        EventKind::QuantumBegin | EventKind::RunBegin => "B",
-        EventKind::QuantumEnd | EventKind::RunEnd => "E",
+        EventKind::RunBegin => "B",
+        EventKind::RunEnd => "E",
         _ => "i",
     }
 }

@@ -161,8 +161,7 @@ impl Benchmark {
 
     /// Build the block-oriented instruction source for this benchmark
     /// as program instance `instance` under `isa` — the interface the
-    /// CPU model consumes (and the one frontend producer threads
-    /// drive).
+    /// CPU model consumes.
     #[must_use]
     pub fn source(self, instance: usize, isa: SimdIsa, spec: &WorkloadSpec) -> Box<dyn InstSource> {
         let units = self.units(spec.scale);

@@ -10,9 +10,7 @@
 //! * [`InstSource`] — the **block** interface the CPU model consumes:
 //!   whole buffers of decoded instructions at a time (about
 //!   [`BLOCK_INSTS`] each), so the per-instruction hot path is an
-//!   indexed read with no virtual dispatch, and so a producer thread
-//!   can ship blocks over a bounded ring to a consumer on another core
-//!   (the sharded frontend in `medsim-core`). [`ChunkSource`] adapts a
+//!   indexed read with no virtual dispatch. [`ChunkSource`] adapts a
 //!   generator; [`VecSource`] replays a materialized trace by memcpy.
 //! * [`InstStream`] — the original pull-per-instruction interface, kept
 //!   for analysis consumers (mix counting, trace packing, tests).
@@ -71,24 +69,24 @@ impl core::fmt::Display for SimdIsa {
 
 /// A source of decoded instructions (one software thread's trace).
 ///
-/// `Send` is a supertrait so any boxed stream can be moved to a
-/// producer thread by the sharded frontend.
+/// `Send` is a supertrait so a core holding boxed streams stays
+/// `Send`.
 pub trait InstStream: Send {
     /// Produce the next instruction, or `None` when the program ends.
     fn next_inst(&mut self) -> Option<Inst>;
 }
 
 /// Target instruction count of one block delivered by an
-/// [`InstSource`]: large enough to amortize a virtual call and a ring
-/// hand-off over ~1k instructions, small enough (64 KiB of `Inst`) to
+/// [`InstSource`]: large enough to amortize a virtual call over ~1k
+/// instructions, small enough (64 KiB of `Inst`) to
 /// stay cache-resident while the consumer drains it.
 pub const BLOCK_INSTS: usize = 1024;
 
 /// A **block-oriented** source of decoded instructions — the interface
 /// the CPU model's fetch stage consumes.
 ///
-/// `Send` is a supertrait so a source can be driven by a frontend
-/// producer thread and its blocks shipped over a ring buffer.
+/// `Send` is a supertrait so a core holding boxed sources stays
+/// `Send`.
 pub trait InstSource: Send {
     /// Clear `out` and refill it with the next block of the program
     /// (about [`BLOCK_INSTS`] instructions; adapters that expand

@@ -1,19 +1,14 @@
 //! A CMP run: four SMT cores with private L1 levels sharing one
-//! L2/DRAM backend, stepped serially (the reference schedule) and then
-//! with barrier-parallel phase-A workers — bitwise-identical results,
-//! host parallelism permitting a wall-clock win on multi-core hosts.
+//! L2/DRAM backend, stepped in fixed core order on one host thread.
 //!
 //! ```sh
 //! cargo run --release --example cmp_run
 //! # bigger machine / bigger run:
-//! MEDSIM_CORES=4 MEDSIM_SCALE=0.01 MEDSIM_JOBS=8 cargo run --release --example cmp_run
+//! MEDSIM_CORES=8 MEDSIM_SCALE=0.01 cargo run --release --example cmp_run
 //! ```
 
-use medsim::core::frontend::{Frontend, JobBudget};
 use medsim::core::machine;
-use medsim::core::runner::TraceCache;
 use medsim::core::sim::{SimConfig, Simulation};
-use medsim::core::ExecMode;
 use medsim::workloads::{trace::SimdIsa, WorkloadSpec};
 use std::time::Instant;
 
@@ -42,48 +37,21 @@ fn main() {
     }
     println!();
 
-    // Serial reference: one host thread steps every core, both phases.
     let start = Instant::now();
-    let serial = Simulation::run_fronted(
-        &config.clone().with_exec(ExecMode::Serial),
-        &TraceCache::from_env(),
-        &Frontend::inline(),
-    );
-    let serial_s = start.elapsed().as_secs_f64();
+    let result = Simulation::run(&config);
+    let wall_s = start.elapsed().as_secs_f64();
     println!(
-        "serial schedule:   {serial_s:>6.2}s  ({:.2}M cycles, EIPC {:.2})",
-        serial.cycles as f64 / 1e6,
-        serial.equiv_ipc(),
+        "wall clock {wall_s:.2}s ({:.2}M cycles, EIPC {:.2})",
+        result.cycles as f64 / 1e6,
+        result.equiv_ipc(),
     );
-
-    // Barrier-parallel: phase A (complete/commit/issue) fans out
-    // across workers, phase B (memory/dispatch/fetch) drains in fixed
-    // core order — the bus arbiter that keeps results seed-stable.
-    let budget = JobBudget::new(cores);
-    let start = Instant::now();
-    let parallel = Simulation::run_fronted(
-        &config.clone().with_exec(ExecMode::Parallel),
-        &TraceCache::from_env(),
-        &Frontend::sharded_with(&budget),
-    );
-    let parallel_s = start.elapsed().as_secs_f64();
-    println!(
-        "parallel schedule: {parallel_s:>6.2}s  ({:.2}x the serial wall clock)",
-        serial_s / parallel_s.max(1e-9),
-    );
-
-    assert_eq!(parallel, serial, "stepping modes must be invisible");
-    println!("\nresults bit-identical across stepping modes");
     println!(
         "machine: {} programs completed over {} contexts, IPC {:.2}, \
          shared L2 hit rate {:.1}%, mem stalls {}",
-        parallel.programs_completed,
+        result.programs_completed,
         cores * config.threads,
-        parallel.ipc(),
-        parallel.l2_hit_rate * 100.0,
-        parallel.mem_stalls,
+        result.ipc(),
+        result.l2_hit_rate * 100.0,
+        result.mem_stalls,
     );
-    if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
-        println!("(single-core host: phase-A workers timeslice; the win needs real cores)");
-    }
 }

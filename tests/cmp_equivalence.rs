@@ -1,27 +1,15 @@
 //! Differential proof for the CMP machine layer.
 //!
-//! 1. `MEDSIM_EXEC=parallel` (phase-A barrier stepping on budgeted
-//!    workers) must be **bitwise identical** to the `serial` reference
-//!    schedule over cores {1, 2, 4} × thread counts × every cache
-//!    hierarchy — including with the worker budget partially granted
-//!    (cores chunked onto fewer workers) and fully starved (serial
-//!    fallback).
-//! 2. The 1-core machine must be **stat-for-stat identical** to the
+//! 1. The 1-core machine must be **stat-for-stat identical** to the
 //!    pre-refactor single-pipeline run loop on the figure-5 grid: the
 //!    reference implementation below is the old `Simulation` body,
 //!    verbatim, driving one `Cpu` directly.
-//! 3. The machine-level idle fast-forward (the whole chip jumps to the
+//! 2. The machine-level idle fast-forward (the whole chip jumps to the
 //!    earliest per-core wakeup) must be stats-invisible.
-//! 4. The quantum schedule (`MEDSIM_QUANTUM` / `SimConfig::quantum`:
-//!    cores step multiple cycles between shared-backend
-//!    synchronizations) must be bitwise identical to serial for forced
-//!    quanta of 1 (the degenerate lockstep), a mid value, and a value
-//!    far past the derived lookahead bound — and the *derived* quantum
-//!    must never exceed the hierarchy's minimum cross-core interaction
-//!    latency for any memory configuration.
+//! 3. A deadlocked CMP run must fail with the model-deadlock
+//!    diagnostic, and a CMP's cores must share one L2/DRAM backend.
 
-use medsim::core::frontend::{Frontend, JobBudget};
-use medsim::core::machine::{self, ExecMode, PROGRAMS_TO_COMPLETE};
+use medsim::core::machine::{self, PROGRAMS_TO_COMPLETE};
 use medsim::core::runner::TraceCache;
 use medsim::core::sim::{SimConfig, Simulation};
 use medsim::core::RunResult;
@@ -37,167 +25,7 @@ fn spec() -> WorkloadSpec {
     }
 }
 
-/// Cores × threads-per-core × hierarchy, alternating the ISA so both
-/// vectorizations cover every structural axis.
-fn cmp_grid() -> Vec<SimConfig> {
-    let mut configs = Vec::new();
-    for &cores in &[1usize, 2, 4] {
-        for &threads in &[1usize, 2] {
-            for (i, &h) in HierarchyKind::ALL.iter().enumerate() {
-                let isa = if (cores + threads + i) % 2 == 0 {
-                    SimdIsa::Mmx
-                } else {
-                    SimdIsa::Mom
-                };
-                configs.push(
-                    SimConfig::new(isa, threads)
-                        .with_cores(cores)
-                        .with_hierarchy(h)
-                        .with_spec(spec()),
-                );
-            }
-        }
-    }
-    configs
-}
-
-#[test]
-fn parallel_stepping_is_bitwise_identical_to_serial() {
-    let cache = TraceCache::from_env();
-    for config in cmp_grid() {
-        let serial = Simulation::run_fronted(
-            &config.clone().with_exec(ExecMode::Serial),
-            &cache,
-            &Frontend::inline(),
-        );
-
-        // Roomy budget: every core beyond the first gets a real
-        // phase-A worker, and the sharded frontend gets producers too.
-        let roomy = JobBudget::new(16);
-        let got = Simulation::run_fronted(
-            &config.clone().with_exec(ExecMode::Parallel),
-            &cache,
-            &Frontend::sharded_with(&roomy),
-        );
-        assert_eq!(
-            got, serial,
-            "parallel != serial at cores={} threads={} {:?} {:?}",
-            config.cores, config.threads, config.hierarchy, config.isa
-        );
-        assert_eq!(roomy.available(), 16, "all permits returned");
-
-        // One permit: several cores chunk onto a single worker while
-        // the coordinator takes the rest — a different (but still
-        // deterministic) phase-A partition.
-        let tight = JobBudget::new(1);
-        let got = Simulation::run_fronted(
-            &config.clone().with_exec(ExecMode::Parallel),
-            &cache,
-            &Frontend::sharded_with(&tight),
-        );
-        assert_eq!(
-            got, serial,
-            "single-worker parallel diverges at cores={} threads={} {:?}",
-            config.cores, config.threads, config.hierarchy
-        );
-
-        // Starved budget: parallel requested, serial fallback taken.
-        let dry = JobBudget::new(0);
-        let got = Simulation::run_fronted(
-            &config.clone().with_exec(ExecMode::Parallel),
-            &cache,
-            &Frontend::sharded_with(&dry),
-        );
-        assert_eq!(
-            got, serial,
-            "dry-budget parallel diverges at cores={} threads={} {:?}",
-            config.cores, config.threads, config.hierarchy
-        );
-    }
-}
-
-#[test]
-fn forced_quanta_are_bitwise_identical_to_serial() {
-    // K = 1 degenerates to the per-cycle barrier schedule; K = 3 sits
-    // below every hierarchy's derived bound, exercising mixed
-    // quantum/lockstep rounds. Both must be invisible in every
-    // statistic across the whole structural grid.
-    let cache = TraceCache::from_env();
-    for config in cmp_grid() {
-        let serial = Simulation::run_fronted(
-            &config.clone().with_exec(ExecMode::Serial),
-            &cache,
-            &Frontend::inline(),
-        );
-        for k in [1u64, 3] {
-            let budget = JobBudget::new(16);
-            let got = Simulation::run_fronted(
-                &config.clone().with_exec(ExecMode::Parallel).with_quantum(k),
-                &cache,
-                &Frontend::sharded_with(&budget),
-            );
-            assert_eq!(
-                got, serial,
-                "quantum {k} diverges at cores={} threads={} {:?} {:?}",
-                config.cores, config.threads, config.hierarchy, config.isa
-            );
-        }
-    }
-}
-
-#[test]
-fn oversized_quantum_is_bitwise_identical_to_serial() {
-    // Exactness never rests on K staying within the derived lookahead:
-    // every backend access needing a reply parks its core, so a quantum
-    // far past the bound must still merge to the serial statistics —
-    // it just parks more.
-    let cache = TraceCache::from_env();
-    for &threads in &[1usize, 2] {
-        let config = SimConfig::new(SimdIsa::Mom, threads)
-            .with_cores(4)
-            .with_hierarchy(HierarchyKind::Conventional)
-            .with_spec(spec());
-        let serial = Simulation::run_fronted(
-            &config.clone().with_exec(ExecMode::Serial),
-            &cache,
-            &Frontend::inline(),
-        );
-        let budget = JobBudget::new(16);
-        let got = Simulation::run_fronted(
-            &config
-                .clone()
-                .with_exec(ExecMode::Parallel)
-                .with_quantum(64),
-            &cache,
-            &Frontend::sharded_with(&budget),
-        );
-        assert_eq!(got, serial, "quantum 64 diverges at {threads} threads");
-    }
-}
-
-#[test]
-fn derived_quantum_never_exceeds_the_cross_core_interaction_latency() {
-    // Property sweep: for every hierarchy and a range of L2 latencies,
-    // the quantum the machine derives (no override) is bounded by the
-    // minimum cross-core interaction latency — an L2 hit — and is
-    // always at least the 1-cycle degenerate schedule.
-    for &h in HierarchyKind::ALL.iter() {
-        for l2_latency in 1..=40u64 {
-            let mut mem = MemConfig::paper_with(h);
-            mem.l2_latency = l2_latency;
-            let mut config = SimConfig::new(SimdIsa::Mmx, 1).with_mem(mem.clone());
-            config.quantum = None;
-            let k = machine::quantum_cycles(&config, &mem);
-            assert!(
-                (1..=l2_latency.max(1)).contains(&k),
-                "{h:?} l2_latency={l2_latency}: derived quantum {k} breaks the bound"
-            );
-        }
-    }
-}
-
-/// The pre-refactor `Simulation::run_fronted` body, verbatim: one
-/// `Cpu`, `cycle()` with its internal fast-forward, and the §5.1
+/// The pre-CMP `Simulation` run loop, verbatim: one `Cpu`, `cycle()` with its internal fast-forward, and the §5.1
 /// program-list refill loop — no machine layer anywhere.
 fn pre_refactor_reference(config: &SimConfig, cache: &TraceCache) -> RunResult {
     let mem_config = MemConfig::paper_with(config.hierarchy);
@@ -246,9 +74,8 @@ fn pre_refactor_reference(config: &SimConfig, cache: &TraceCache) -> RunResult {
 #[test]
 fn one_core_machine_matches_the_pre_refactor_pipeline_on_the_fig5_grid() {
     // The figure-5 grid: ideal + conventional hierarchies, both ISAs,
-    // the paper's four thread counts — all at one core, both stepping
-    // modes. Every statistic must match the direct single-pipeline
-    // loop exactly.
+    // the paper's four thread counts — all at one core. Every
+    // statistic must match the direct single-pipeline loop exactly.
     let cache = TraceCache::from_env();
     for &h in &[HierarchyKind::Ideal, HierarchyKind::Conventional] {
         for &isa in &SimdIsa::ALL {
@@ -258,18 +85,12 @@ fn one_core_machine_matches_the_pre_refactor_pipeline_on_the_fig5_grid() {
                     .with_hierarchy(h)
                     .with_spec(spec());
                 let want = pre_refactor_reference(&config, &cache);
-                for exec in [ExecMode::Serial, ExecMode::Parallel] {
-                    let got = Simulation::run_fronted(
-                        &config.clone().with_exec(exec),
-                        &cache,
-                        &Frontend::inline(),
-                    );
-                    assert_eq!(
-                        got, want,
-                        "1-core machine ({exec}) diverges from the pre-refactor \
-                         pipeline at {isa:?} {h:?} {threads} threads"
-                    );
-                }
+                let got = machine::run(&config, &cache);
+                assert_eq!(
+                    got, want,
+                    "1-core machine diverges from the pre-refactor pipeline at \
+                     {isa:?} {h:?} {threads} threads"
+                );
             }
         }
     }
@@ -284,112 +105,24 @@ fn machine_fast_forward_is_invisible() {
     for &cores in &[2usize, 4] {
         let config = SimConfig::new(SimdIsa::Mmx, 1)
             .with_cores(cores)
-            .with_exec(ExecMode::Serial)
             .with_spec(spec());
-        let fast = machine::run_with(&config, &cache, &Frontend::inline(), true);
-        let slow = machine::run_with(&config, &cache, &Frontend::inline(), false);
+        let fast = machine::run_with(&config, &cache, true);
+        let slow = machine::run_with(&config, &cache, false);
         assert_eq!(fast, slow, "machine fast-forward visible at {cores} cores");
-        // The parallel schedule with the fast-forward off must agree too.
-        let budget = JobBudget::new(4);
-        let par = machine::run_with(
-            &config.clone().with_exec(ExecMode::Parallel),
-            &cache,
-            &Frontend::sharded_with(&budget),
-            false,
-        );
-        assert_eq!(par, slow, "parallel no-ff diverges at {cores} cores");
     }
 }
 
 #[test]
 #[should_panic(expected = "model deadlock")]
-fn parallel_max_cycles_assert_panics_instead_of_hanging() {
-    // The coordinator's model-deadlock diagnostic must unwind cleanly
-    // through the barrier schedule: the abort guard releases the
-    // phase-A workers and detaches the ring consumers, so the panic
-    // reaches the harness instead of deadlocking the scope join.
+fn cmp_max_cycles_assert_panics_instead_of_hanging() {
+    // A run that outlives `max_cycles` is a deadlocked model: the CMP
+    // loop must report it with the diagnostic, not spin forever.
     let cache = TraceCache::from_env();
     let mut config = SimConfig::new(SimdIsa::Mmx, 1)
         .with_cores(2)
-        .with_exec(ExecMode::Parallel)
         .with_spec(spec());
     config.max_cycles = 10;
-    let budget = JobBudget::new(2);
-    let _ = Simulation::run_fronted(&config, &cache, &Frontend::sharded_with(&budget));
-}
-
-/// Inner half of `abort_unwind_never_wedges_the_machine`: loop the
-/// model-deadlock repro many times in-process. Before the machine's
-/// round barrier grew a cancel path this hung roughly once per hundred
-/// iterations: a phase-A worker released from the round-complete gate
-/// could observe the abort flag *before* re-parking, exit without
-/// arriving at the gate the unwinding abort guard's counted
-/// `Barrier::wait` was pairing against, and strand the coordinator —
-/// which in turn never detached the ring consumers, leaving a producer
-/// parked on a full ring. 60 rounds give better than
-/// 1 - 0.99^60 ≈ 45% per run — and the outer test's process boundary
-/// turns any recurrence into a clean timeout instead of a wedged test
-/// binary. `#[ignore]`d so plain `cargo test` never runs it directly;
-/// only the subprocess wrapper does.
-#[test]
-#[ignore = "spawned by abort_unwind_never_wedges_the_machine"]
-fn repro_parallel_max_cycles_panic_loop() {
-    // The repro panics by design on every round; silence the default
-    // hook so the subprocess log stays readable.
-    std::panic::set_hook(Box::new(|_| {}));
-    let cache = TraceCache::from_env();
-    for round in 0..60 {
-        let mut config = SimConfig::new(SimdIsa::Mmx, 1)
-            .with_cores(2)
-            .with_exec(ExecMode::Parallel)
-            .with_spec(spec());
-        config.max_cycles = 10;
-        let budget = JobBudget::new(2);
-        let outcome = std::panic::catch_unwind(|| {
-            let _ = Simulation::run_fronted(&config, &cache, &Frontend::sharded_with(&budget));
-        });
-        assert!(
-            outcome.is_err(),
-            "round {round}: expected model-deadlock panic"
-        );
-    }
-    println!("ABORT_REPRO_ROUNDS_OK");
-}
-
-#[test]
-fn abort_unwind_never_wedges_the_machine() {
-    // Regression for the ~1% hang: run the looped panic repro in a
-    // child process with a hard deadline. A worker that exits without
-    // pairing the aborting coordinator's barrier wait wedges the
-    // child's scope join forever; the deadline turns that into a test
-    // failure here instead of a hung CI job.
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut child = std::process::Command::new(exe)
-        .args([
-            "--exact",
-            "repro_parallel_max_cycles_panic_loop",
-            "--ignored",
-            "--nocapture",
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn repro child");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(240);
-    loop {
-        match child.try_wait().expect("poll repro child") {
-            Some(status) => {
-                assert!(status.success(), "repro child failed: {status}");
-                break;
-            }
-            None if std::time::Instant::now() >= deadline => {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("abort-unwind hang: repro child exceeded deadline");
-            }
-            None => std::thread::sleep(std::time::Duration::from_millis(100)),
-        }
-    }
+    let _ = machine::run(&config, &cache);
 }
 
 #[test]
@@ -398,7 +131,6 @@ fn cmp_shares_one_l2_backend() {
     // statistics, and the machine completes the same §5.1 workload.
     let config = SimConfig::new(SimdIsa::Mom, 2)
         .with_cores(4)
-        .with_exec(ExecMode::Serial)
         .with_spec(spec());
     let r = Simulation::run(&config);
     assert_eq!(r.cores, 4);
@@ -406,38 +138,4 @@ fn cmp_shares_one_l2_backend() {
     // A 4-core × 2-thread machine runs 8 contexts: at least the first
     // eight list entries were spread across them at start.
     assert!(r.committed > 0 && r.cycles > 0);
-}
-
-/// Regression: a store miss write-allocates into L1 — evicting the
-/// set's LRU way — so a store issued earlier in the same cycle can
-/// turn a probed-resident load into a real backend miss *after* the
-/// park predicate cleared the cycle. The predicate must park on a
-/// store-miss/load set collision. The 1e-5 grid above never hits the
-/// collision; this config (the bench's CMP run at a 10x scale) does
-/// within the first few thousand cycles, and under `debug_assertions`
-/// the deferred-mode check in `MemSystem::with_backend` turns any
-/// future regression into a panic rather than a silent divergence.
-#[test]
-fn store_allocate_eviction_cannot_slip_past_the_park_predicate() {
-    let spec = WorkloadSpec {
-        scale: 1.0e-4,
-        seed: 0x5eed_2001,
-    };
-    let config = SimConfig::new(SimdIsa::Mom, 2)
-        .with_cores(4)
-        .with_hierarchy(HierarchyKind::Conventional)
-        .with_spec(spec);
-    let cache = TraceCache::from_env();
-    let serial = Simulation::run_fronted(
-        &config.clone().with_exec(ExecMode::Serial),
-        &cache,
-        &Frontend::inline(),
-    );
-    let roomy = JobBudget::new(8);
-    let got = Simulation::run_fronted(
-        &config.clone().with_exec(ExecMode::Parallel),
-        &cache,
-        &Frontend::sharded_with(&roomy),
-    );
-    assert_eq!(got, serial, "quantum schedule diverged from serial");
 }

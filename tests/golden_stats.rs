@@ -12,8 +12,9 @@
 //! After an intentional change to the timing model, regenerate with
 //! `cargo test --test golden_stats -- --ignored` and review the diff.
 
-use medsim::core::sim::{SimConfig, Simulation};
-use medsim::core::{ExecMode, Frontend, TraceCache};
+use medsim::core::machine;
+use medsim::core::sim::SimConfig;
+use medsim::core::TraceCache;
 use medsim::cpu::config::DEFAULT_DECOUPLE_DEPTH;
 use medsim::cpu::events::DEFAULT_WHEEL_SLOTS;
 use medsim::cpu::{Cpu, CpuConfig, SchedulerKind};
@@ -101,8 +102,8 @@ fn pipeline_run(
     )
 }
 
-/// A benchmark shape's whole-machine `RunResult`, serial and inline,
-/// with every environment-defaulted field pinned.
+/// A benchmark shape's whole-machine `RunResult`, with every
+/// environment-defaulted field pinned.
 fn shape_run(
     isa: SimdIsa,
     cores: usize,
@@ -112,24 +113,15 @@ fn shape_run(
 ) -> String {
     let config = SimConfig {
         cores,
-        exec: ExecMode::Serial,
         hierarchy,
         spec: SHAPE_SPEC,
         scheduler: SchedulerKind::Wheel,
         stream_batch: true,
         decouple,
         decouple_depth: DEFAULT_DECOUPLE_DEPTH,
-        quantum: None,
         ..SimConfig::new(isa, threads)
     };
-    let r = Simulation::run_fronted(&config, &TraceCache::disabled(), &Frontend::inline());
-    // `sched` is the last field and describes the host schedule, not
-    // the simulated machine: leave it out.
-    let text = format!("{r:?}");
-    let cut = text
-        .find(", sched: ")
-        .expect("RunResult prints its sched block");
-    format!("{} }}", &text[..cut])
+    format!("{:?}", machine::run(&config, &TraceCache::disabled()))
 }
 
 /// The whole corpus, one `== label` section per run.

@@ -7,10 +7,7 @@
 //! (`set_trace` / `set_sample_cycles` / `set_report_path`) instead of
 //! mutating the environment.
 
-use medsim::core::frontend::{Frontend, JobBudget};
-use medsim::core::runner::TraceCache;
 use medsim::core::sim::{SimConfig, Simulation};
-use medsim::core::ExecMode;
 use medsim::obs;
 use medsim::workloads::trace::SimdIsa;
 use medsim::workloads::WorkloadSpec;
@@ -92,14 +89,8 @@ fn run_report_has_valid_shape_with_sampling_on() {
     let json = std::fs::read_to_string(&path).expect("report file written");
     let _ = std::fs::remove_file(&path);
     obs::validate_json(&json).expect("report must be valid JSON");
-    assert!(json.contains("\"schema\": \"medsim-run-report/v1\""));
-    for section in [
-        "\"config\"",
-        "\"result\"",
-        "\"sched\"",
-        "\"roofline\"",
-        "\"samples\"",
-    ] {
+    assert!(json.contains("\"schema\": \"medsim-run-report/v2\""));
+    for section in ["\"config\"", "\"result\"", "\"roofline\"", "\"samples\""] {
         assert!(json.contains(section), "missing section {section}");
     }
     assert!(
@@ -114,38 +105,4 @@ fn run_report_has_valid_shape_with_sampling_on() {
     assert!(json.contains(&format!("\"cycles\": {}", result.cycles)));
     assert!(json.contains(&format!("\"committed\": {}", result.committed)));
     assert!(json.contains("\"peak_bytes_per_cycle\""));
-}
-
-#[test]
-fn sched_counters_populate_under_the_quantum_schedule() {
-    // The quantum schedule emits span events into the process-global
-    // sink, so this test must not overlap another test's traced window.
-    let _g = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    // An explicit worker budget so the quantum-parallel path runs even
-    // on a single-CPU host (where the global budget has no permits).
-    let budget = JobBudget::new(2);
-    let config = small_config().with_exec(ExecMode::Parallel);
-    let parallel = Simulation::run_fronted(
-        &config,
-        &TraceCache::disabled(),
-        &Frontend::sharded_with(&budget),
-    );
-    let serial = Simulation::run_fronted(
-        &small_config().with_exec(ExecMode::Serial),
-        &TraceCache::disabled(),
-        &Frontend::inline(),
-    );
-    assert_eq!(parallel, serial, "sched counters must not break equality");
-    assert!(
-        parallel.sched.rounds() > 0,
-        "a parallel run takes barrier rounds: {:?}",
-        parallel.sched
-    );
-    assert!(
-        parallel.sched.quantum_rounds > 0,
-        "the derived lookahead yields multi-cycle quanta: {:?}",
-        parallel.sched
-    );
-    assert!(parallel.sched.quantum_cycles >= 2 * parallel.sched.quantum_rounds);
-    assert_eq!(serial.sched.rounds(), 0, "serial takes no barrier rounds");
 }

@@ -1,8 +1,6 @@
 //! End-to-end result-store proofs.
 //!
-//! 1. A warm result cache round-trips a simulation bitwise — including
-//!    the advisory scheduling counters that sit outside `RunResult`
-//!    equality.
+//! 1. A warm result cache round-trips a simulation bitwise.
 //! 2. Damaged or stale store files (truncation, flipped payload bytes,
 //!    wrong magic, bumped format version) fall back to simulation with
 //!    per-reason counters and self-heal on the next write-back.
@@ -14,7 +12,6 @@
 //!    directory never publish a torn file, never leave temp files, and
 //!    a second wave is served entirely from disk.
 
-use medsim::core::machine::ExecMode;
 use medsim::core::resultstore::workload_checksum;
 use medsim::core::runner::{run_grid_resulted, TraceCache};
 use medsim::core::sim::{SimConfig, Simulation};
@@ -43,13 +40,11 @@ fn spec() -> WorkloadSpec {
 }
 
 fn small_config() -> SimConfig {
-    SimConfig::new(SimdIsa::Mmx, 1)
-        .with_exec(ExecMode::Serial)
-        .with_spec(spec())
+    SimConfig::new(SimdIsa::Mmx, 1).with_spec(spec())
 }
 
 #[test]
-fn warm_cache_round_trips_bitwise_including_advisory_counters() {
+fn warm_cache_round_trips_bitwise() {
     let dir = unique_dir("roundtrip");
     let traces = TraceCache::from_env();
     let config = small_config();
@@ -64,7 +59,6 @@ fn warm_cache_round_trips_bitwise_including_advisory_counters() {
     let warm_cache = ResultCache::at(&dir);
     let warm = Simulation::run_resulted(&config, &traces, &warm_cache);
     assert_eq!(warm, cold, "warm hit is bitwise identical");
-    assert_eq!(warm.sched, cold.sched, "advisory counters survive disk");
     let warm_stats = warm_cache.stats();
     assert_eq!(warm_stats.hits, 1);
     assert_eq!(warm_stats.fallbacks(), 0, "no fallback on a warm store");
@@ -143,7 +137,6 @@ fn every_identity_knob_perturbs_the_key() {
     const WORKLOAD: u64 = 0xABCD_EF01_2345_6789;
     let base = SimConfig::new(SimdIsa::Mmx, 2)
         .with_cores(1)
-        .with_exec(ExecMode::Serial)
         .with_hierarchy(HierarchyKind::Conventional)
         .with_policy(FetchPolicy::RoundRobin)
         .with_scheduler(SchedulerKind::Wheel)
@@ -153,7 +146,7 @@ fn every_identity_knob_perturbs_the_key() {
     assert_eq!(base_key, key_of(&base.clone()), "re-hash is stable");
 
     // One mutation per SimConfig field (every EnvKnobs-backed knob —
-    // scheduler, stream_batch, quantum, decouple, decouple_depth —
+    // scheduler, stream_batch, decouple, decouple_depth —
     // included; wheel_slots, the one knob SimConfig does not carry, is
     // covered below via the explicit parameter).
     type KnobFlip = (&'static str, Box<dyn Fn(&mut SimConfig)>);
@@ -161,7 +154,6 @@ fn every_identity_knob_perturbs_the_key() {
         ("isa", Box::new(|c| c.isa = SimdIsa::Mom)),
         ("threads", Box::new(|c| c.threads = 4)),
         ("cores", Box::new(|c| c.cores = 2)),
-        ("exec", Box::new(|c| c.exec = ExecMode::Parallel)),
         (
             "hierarchy",
             Box::new(|c| c.hierarchy = HierarchyKind::Decoupled),
@@ -194,7 +186,6 @@ fn every_identity_knob_perturbs_the_key() {
             "decouple_depth",
             Box::new(|c| c.decouple_depth = c.decouple_depth.wrapping_add(1)),
         ),
-        ("quantum", Box::new(|c| c.quantum = Some(7))),
     ];
     let mut keys = vec![("base", base_key)];
     for (label, mutate) in &mutations {
@@ -205,13 +196,6 @@ fn every_identity_knob_perturbs_the_key() {
         assert_eq!(k, key_of(&c.clone()), "{label} re-hash is stable");
         keys.push((label, k));
     }
-    // Quantum *value* matters too, not just its presence.
-    let mut q8 = base.clone();
-    q8.quantum = Some(8);
-    let mut q9 = base.clone();
-    q9.quantum = Some(9);
-    assert_ne!(key_of(&q8), key_of(&q9), "quantum value participates");
-
     // Knobs inside an ablation override participate individually.
     let mut with_mem = base.clone();
     with_mem.mem_override = Some(MemConfig::paper_with(with_mem.hierarchy));
@@ -297,13 +281,7 @@ fn trace_bytes_feed_the_workload_checksum() {
 fn stress_grid() -> Vec<SimConfig> {
     SimdIsa::ALL
         .iter()
-        .flat_map(|&isa| {
-            [1usize, 2].map(|t| {
-                SimConfig::new(isa, t)
-                    .with_exec(ExecMode::Serial)
-                    .with_spec(spec())
-            })
-        })
+        .flat_map(|&isa| [1usize, 2].map(|t| SimConfig::new(isa, t).with_spec(spec())))
         .collect()
 }
 
