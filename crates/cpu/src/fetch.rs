@@ -25,30 +25,9 @@ pub struct ThreadFetchInfo {
 }
 
 /// Select up to `n_select` thread indices to fetch from, in priority
-/// order. `rr_cursor` rotates round-robin fairness; `vector_pipe_empty`
-/// feeds the BALANCE policy.
-#[must_use]
-pub fn select_threads(
-    policy: FetchPolicy,
-    infos: &[ThreadFetchInfo],
-    rr_cursor: usize,
-    n_select: usize,
-    vector_pipe_empty: bool,
-) -> Vec<usize> {
-    let mut picked = Vec::new();
-    select_threads_into(
-        policy,
-        infos,
-        rr_cursor,
-        n_select,
-        vector_pipe_empty,
-        &mut picked,
-    );
-    picked
-}
-
-/// [`select_threads`] writing into a caller-provided buffer, so the
-/// per-cycle fetch stage allocates nothing in steady state.
+/// order, into `picked` (a caller-provided buffer, so the per-cycle
+/// fetch stage allocates nothing in steady state). `rr_cursor` rotates
+/// round-robin fairness; `vector_pipe_empty` feeds the BALANCE policy.
 pub fn select_threads_into(
     policy: FetchPolicy,
     infos: &[ThreadFetchInfo],
@@ -61,7 +40,28 @@ pub fn select_threads_into(
     // Runnable threads in round-robin order starting at the cursor.
     let start = rr_cursor.checked_rem(n).unwrap_or(0);
     picked.clear();
-    picked.extend((start..n).chain(0..start).filter(|&t| infos[t].runnable));
+    // Round-robin keeps the first `n_select` in this order, so it can
+    // stop collecting there; the other policies sort all of them.
+    let wanted = match policy {
+        FetchPolicy::RoundRobin => n_select,
+        _ => n,
+    };
+    for (t, info) in infos.iter().enumerate().skip(start) {
+        if picked.len() == wanted {
+            break;
+        }
+        if info.runnable {
+            picked.push(t);
+        }
+    }
+    for (t, info) in infos[..start].iter().enumerate() {
+        if picked.len() == wanted {
+            break;
+        }
+        if info.runnable {
+            picked.push(t);
+        }
+    }
     match policy {
         FetchPolicy::RoundRobin => {}
         FetchPolicy::ICount => {
@@ -90,6 +90,26 @@ pub fn select_threads_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`select_threads_into`] into a fresh vector.
+    fn select_threads(
+        policy: FetchPolicy,
+        infos: &[ThreadFetchInfo],
+        rr_cursor: usize,
+        n_select: usize,
+        vector_pipe_empty: bool,
+    ) -> Vec<usize> {
+        let mut picked = Vec::new();
+        select_threads_into(
+            policy,
+            infos,
+            rr_cursor,
+            n_select,
+            vector_pipe_empty,
+            &mut picked,
+        );
+        picked
+    }
 
     fn runnable(n: usize) -> Vec<ThreadFetchInfo> {
         vec![

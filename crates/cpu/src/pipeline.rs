@@ -21,13 +21,14 @@ use crate::predictor::Predictor;
 use crate::rename::{PhysReg, RenameFile, READY};
 use crate::stats::CpuStats;
 use crate::Cycle;
-use medsim_isa::{Inst, IntOp, MomOp, Op, OpKind, QueueKind};
+use medsim_isa::{CtlOp, FpOp, Inst, IntOp, MemOp, MemRef, MmxOp, MomOp, Op, OpKind, QueueKind};
 use medsim_mem::{AccessKind, MemReply, MemRequest, MemSystem, Stall, StreamReply, StreamRequest};
-use medsim_workloads::trace::{InstSource, InstStream, SimdIsa, StreamSource};
+use medsim_workloads::trace::{InstSource, InstStream, SimdIsa, StreamSource, BLOCK_INSTS};
 use std::collections::VecDeque;
 
-/// Decode-buffer slots per thread (a power of two: the ring wraps with
-/// a mask).
+/// Decode-buffer capacity per thread: fetch selects only a thread
+/// whose buffer has room for a whole fetch group, so at most this many
+/// undispatched instructions carry over a block refill.
 const DECODE_BUF_CAP: usize = 16;
 const ICACHE_LINE: u64 = 32;
 
@@ -118,13 +119,197 @@ struct VFetchEntry {
     early: bool,
 }
 
+/// How issue times a non-memory instruction: the functional-unit
+/// latency it pays and the unpipelined unit or media unit it holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LatClass {
+    One,
+    IntMul,
+    /// Occupies the unpipelined integer divider.
+    IntDiv,
+    FpAdd,
+    FpMul,
+    /// Occupies the unpipelined FP divider.
+    FpDiv,
+    /// MMX packed multiply.
+    SimdMul,
+    /// MOM stream: holds the media unit for its stream length.
+    Stream,
+    /// MOM stream multiply: the media unit plus the multiply pipe.
+    StreamMul,
+    /// Memory access: timed by the memory system, not by issue.
+    Mem,
+}
+
+/// A branch the decode-stage predictor sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Predict {
+    None,
+    Conditional,
+    Indirect,
+}
+
+/// Everything the pipeline derives from an opcode, looked up once per
+/// instruction at dispatch (see [`op_class`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpClass {
+    /// Index of the dispatch queue in [`Cpu::queues`].
+    queue: u8,
+    /// [`Op::kind`].
+    kind: OpKind,
+    /// Path through the memory hierarchy (meaningful for memory-queue
+    /// operations).
+    access: AccessKind,
+    lat: LatClass,
+    /// A MOM stream operation ([`Op::is_stream`]): its equivalent count
+    /// is its stream length.
+    stream: bool,
+    /// Implicitly reads the stream-length register (every MOM operation
+    /// but `SetVl`, which writes it).
+    reads_vl: bool,
+    predict: Predict,
+}
+
+/// Index of a dispatch queue in [`Cpu::queues`].
+const fn queue_idx(q: QueueKind) -> usize {
+    match q {
+        QueueKind::Int => 0,
+        QueueKind::Mem => 1,
+        QueueKind::Fp => 2,
+        QueueKind::Simd => 3,
+    }
+}
+
+const MEM_QUEUE: usize = queue_idx(QueueKind::Mem);
+
+/// The classification of one opcode (evaluated at compile time into
+/// [`OP_CLASS`]).
+const fn classify(op: Op) -> OpClass {
+    let queue = op.queue();
+    let access = match op {
+        Op::Mem(MemOp::Prefetch) | Op::Mom(MomOp::Vprefetch) => AccessKind::Prefetch,
+        Op::Mem(_) if op.is_store() => AccessKind::ScalarStore,
+        Op::Mem(_) => AccessKind::ScalarLoad,
+        // MMX and MOM packed/stream accesses use the vector path.
+        _ if op.is_store() => AccessKind::VectorStore,
+        _ => AccessKind::VectorLoad,
+    };
+    let lat = match op {
+        _ if op.is_mem() => LatClass::Mem,
+        Op::Int(IntOp::Mul | IntOp::Mulh) => LatClass::IntMul,
+        Op::Int(IntOp::Div | IntOp::Rem) => LatClass::IntDiv,
+        Op::Fp(FpOp::FDiv | FpOp::FSqrt) => LatClass::FpDiv,
+        Op::Fp(FpOp::FMul | FpOp::FMadd) => LatClass::FpMul,
+        Op::Fp(_) => LatClass::FpAdd,
+        Op::Mmx(m) if m.is_mul() => LatClass::SimdMul,
+        Op::Mom(m) if m.is_mul() => LatClass::StreamMul,
+        Op::Mom(_) => LatClass::Stream,
+        _ => LatClass::One,
+    };
+    let predict = match op {
+        Op::Ctl(c) if c.is_conditional() => Predict::Conditional,
+        Op::Ctl(c) if c.is_indirect() => Predict::Indirect,
+        _ => Predict::None,
+    };
+    OpClass {
+        queue: queue_idx(queue) as u8,
+        kind: op.kind(),
+        access,
+        lat,
+        stream: op.is_stream(),
+        reads_vl: matches!(op, Op::Mom(m) if !matches!(m, MomOp::SetVl)),
+        predict,
+    }
+}
+
+/// Opcodes per [`Op`] variant, in variant order.
+const VARIANT_OPS: [usize; 6] = [
+    IntOp::ALL.len(),
+    FpOp::ALL.len(),
+    MemOp::ALL.len(),
+    CtlOp::ALL.len(),
+    MmxOp::ALL.len(),
+    MomOp::ALL.len(),
+];
+
+/// Index of each variant's first opcode in [`OP_CLASS`].
+const VARIANT_BASE: [usize; 6] = {
+    let mut base = [0; 6];
+    let mut v = 1;
+    while v < 6 {
+        base[v] = base[v - 1] + VARIANT_OPS[v - 1];
+        v += 1;
+    }
+    base
+};
+
+/// Dense index of `op` in [`OP_CLASS`]: its variant's base plus the
+/// sub-opcode's discriminant. Written as two matches that each read one
+/// byte of the `Op`, so it compiles to a table load and an add rather
+/// than a jump through a table, which a mixed instruction stream would
+/// keep mispredicting.
+#[inline]
+const fn op_index(op: Op) -> usize {
+    let variant = match op {
+        Op::Int(_) => 0,
+        Op::Fp(_) => 1,
+        Op::Mem(_) => 2,
+        Op::Ctl(_) => 3,
+        Op::Mmx(_) => 4,
+        Op::Mom(_) => 5,
+    };
+    let sub = match op {
+        Op::Int(o) => o as usize,
+        Op::Fp(o) => o as usize,
+        Op::Mem(o) => o as usize,
+        Op::Ctl(o) => o as usize,
+        Op::Mmx(o) => o as usize,
+        Op::Mom(o) => o as usize,
+    };
+    VARIANT_BASE[variant] + sub
+}
+
+/// Store `classify(Op::$variant(o))` for every `o` in `$sub::ALL` at
+/// `op_index`, checking that `ALL` lists the opcodes in discriminant
+/// order (which makes the index dense).
+macro_rules! classify_all {
+    ($table:ident, $variant:ident, $sub:ident) => {{
+        let mut i = 0;
+        while i < $sub::ALL.len() {
+            let o = $sub::ALL[i];
+            assert!(o as usize == i, "ALL is in discriminant order");
+            $table[op_index(Op::$variant(o))] = classify(Op::$variant(o));
+            i += 1;
+        }
+    }};
+}
+
+/// [`classify`] of every opcode, indexed by [`op_index`].
+static OP_CLASS: [OpClass; VARIANT_BASE[5] + VARIANT_OPS[5]] = {
+    let mut table = [classify(Op::Int(IntOp::Add)); VARIANT_BASE[5] + VARIANT_OPS[5]];
+    classify_all!(table, Int, IntOp);
+    classify_all!(table, Fp, FpOp);
+    classify_all!(table, Mem, MemOp);
+    classify_all!(table, Ctl, CtlOp);
+    classify_all!(table, Mmx, MmxOp);
+    classify_all!(table, Mom, MomOp);
+    table
+};
+
+/// The pre-computed [`OpClass`] of `op`: one table load.
+#[inline]
+fn op_class(op: Op) -> &'static OpClass {
+    &OP_CLASS[op_index(op)]
+}
+
 /// One in-flight instruction, in its thread's slot of the
-/// ROB-indexed slab (see [`Cpu::slab`]). The values later stages need
-/// are computed once at dispatch. `repr(C)` keeps the fields complete
-/// and commit read together in the slot's first 24 bytes (one cache
-/// line), ahead of the 64-byte instruction.
+/// ROB-indexed slab (see [`Cpu::slab`]). It keeps only what issue,
+/// complete and commit read; everything is computed once at dispatch,
+/// and the [`Inst`] itself stays behind in the trace block. `repr(C)`
+/// keeps the fields complete and commit read in the slot's first 12
+/// bytes; the whole slot is one 64-byte cache line.
 #[derive(Debug, Clone)]
-#[repr(C)]
+#[repr(C, align(64))]
 struct DynInst {
     state: InstState,
     tid: u8,
@@ -136,14 +321,23 @@ struct DynInst {
     /// [`Inst::equivalent_count`] (at most the maximum stream length).
     equiv: u8,
     mem_elems_issued: u8,
-    dst: Option<PhysReg>,
-    prev_dst: Option<PhysReg>,
+    access: AccessKind,
+    /// Renamed destination and the mapping it replaced, both [`READY`]
+    /// when there is none: marking the sentinel ready and releasing it
+    /// are no-ops, so complete and commit need no branch.
+    dst: PhysReg,
+    prev_dst: PhysReg,
+    op: Op,
+    slen: u8,
+    lat: LatClass,
     /// Renamed sources, padded with [`READY`]; the queue entry carries
     /// a copy (see [`QueueEntry`]).
     srcs: [PhysReg; 4],
     mem_done: Cycle,
-    inst: Inst,
+    mem: Option<MemRef>,
 }
+
+const _: () = assert!(size_of::<DynInst>() <= 64);
 
 impl DynInst {
     /// Filler for slab slots no instruction occupies yet.
@@ -156,11 +350,15 @@ impl DynInst {
             mispredicted: false,
             equiv: 1,
             mem_elems_issued: 0,
-            dst: None,
-            prev_dst: None,
+            access: AccessKind::ScalarLoad,
+            dst: READY,
+            prev_dst: READY,
+            op: Op::Int(IntOp::Add),
+            slen: 1,
+            lat: LatClass::One,
             srcs: [READY; 4],
             mem_done: 0,
-            inst: Inst::new(Op::Int(IntOp::Add)),
+            mem: None,
         }
     }
 }
@@ -175,58 +373,9 @@ struct QueueEntry {
     srcs: [PhysReg; 4],
 }
 
-/// A thread's decode buffer: a fixed ring of [`DECODE_BUF_CAP`]
-/// instructions. Fetch only selects a thread with room for a whole
-/// fetch group, so the ring never overflows.
-#[repr(C)]
-struct DecodeRing {
-    head: usize,
-    len: usize,
-    buf: [Inst; DECODE_BUF_CAP],
-}
-
-impl DecodeRing {
-    fn new() -> Self {
-        DecodeRing {
-            head: 0,
-            len: 0,
-            buf: [Inst::new(Op::Int(IntOp::Add)); DECODE_BUF_CAP],
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn front(&self) -> Option<&Inst> {
-        (self.len > 0).then(|| &self.buf[self.head])
-    }
-
-    #[inline]
-    fn pop_front(&mut self) {
-        debug_assert!(self.len > 0, "pop from an empty decode buffer");
-        self.head = (self.head + 1) & (DECODE_BUF_CAP - 1);
-        self.len -= 1;
-    }
-
-    #[inline]
-    fn push_back(&mut self, inst: Inst) {
-        debug_assert!(self.len < DECODE_BUF_CAP, "decode buffer overflow");
-        self.buf[(self.head + self.len) & (DECODE_BUF_CAP - 1)] = inst;
-        self.len += 1;
-    }
-}
-
 /// One hardware context. `repr(C)` keeps the counters every stage
-/// reads each cycle together, followed by the decode ring's head and
-/// length, ahead of the instruction storage.
+/// reads each cycle together, followed by the decode-buffer and fetch
+/// positions, ahead of the block and the source.
 #[repr(C)]
 struct ThreadCtx {
     exhausted: bool,
@@ -241,13 +390,17 @@ struct ThreadCtx {
     rob_len: usize,
     icount: usize,
     ocount: u64,
-    decode_buf: DecodeRing,
-    /// Read position inside `block`.
+    /// The decode buffer is `block[dec_head..block_pos]`: fetched,
+    /// not yet dispatched, at most [`DECODE_BUF_CAP`] instructions.
+    dec_head: usize,
+    /// Fetch position inside `block`.
     block_pos: usize,
-    /// Current decoded block; the per-instruction hot path is an
-    /// indexed read from here — no virtual dispatch per instruction.
+    /// Current decoded block. Fetch and dispatch read instructions in
+    /// place; the only copy after trace decode is the carry of the
+    /// decode buffer over a refill (see [`ThreadCtx::refill`]).
     block: Vec<Inst>,
-    lookahead: Option<Inst>,
+    /// Scratch for that carry.
+    carry: Vec<Inst>,
     /// Block-oriented instruction supply (a generator adapter or a
     /// packed trace decoder).
     source: Option<Box<dyn InstSource>>,
@@ -258,9 +411,9 @@ impl ThreadCtx {
         ThreadCtx {
             source: None,
             block: Vec::new(),
+            carry: Vec::with_capacity(DECODE_BUF_CAP),
             block_pos: 0,
-            lookahead: None,
-            decode_buf: DecodeRing::new(),
+            dec_head: 0,
             fetch_blocked_until: 0,
             blocked_on_branch: None,
             last_fetch_line: u64::MAX,
@@ -273,22 +426,45 @@ impl ThreadCtx {
         }
     }
 
-    /// Next instruction from the current block, refilling from the
-    /// source at block boundaries. `None` means the program ended.
+    /// Instructions in the decode buffer.
     #[inline]
-    fn next_from_block(&mut self) -> Option<Inst> {
-        loop {
-            if let Some(&inst) = self.block.get(self.block_pos) {
-                self.block_pos += 1;
-                return Some(inst);
-            }
-            let src = self.source.as_mut()?;
-            self.block_pos = 0;
-            if !src.next_block(&mut self.block) {
-                self.block.clear();
-                return None;
-            }
+    fn decode_len(&self) -> usize {
+        self.block_pos - self.dec_head
+    }
+
+    /// The oldest instruction in the decode buffer.
+    #[inline]
+    fn decode_front(&self) -> Option<&Inst> {
+        (self.dec_head < self.block_pos).then(|| &self.block[self.dec_head])
+    }
+
+    /// Fetch reached the end of `block`: refill it from the source,
+    /// carrying the undispatched decode buffer (at most
+    /// [`DECODE_BUF_CAP`] instructions) to the front of the new block.
+    /// Returns whether an instruction is now at `block_pos`; `false`
+    /// means the program ended, which exhausts the thread and drops its
+    /// source (the buffer still drains through dispatch).
+    #[cold]
+    fn refill(&mut self) -> bool {
+        let Some(src) = self.source.as_mut() else {
+            return false;
+        };
+        self.carry.clear();
+        self.carry
+            .extend_from_slice(&self.block[self.dec_head..self.block_pos]);
+        let more = src.next_block(&mut self.block);
+        if !more {
+            self.block.clear();
+            self.exhausted = true;
+            self.source = None;
         }
+        // Room for the carry (a source may exceed `BLOCK_INSTS`)
+        // without the doubling `splice` would do.
+        self.block.reserve_exact(self.carry.len());
+        self.block.splice(0..0, self.carry.iter().copied());
+        self.dec_head = 0;
+        self.block_pos = self.carry.len();
+        more
     }
 }
 
@@ -439,9 +615,11 @@ impl<M: MemPort> Cpu<M> {
         let t = &mut self.threads[tid];
         t.source = Some(source);
         t.block.clear();
+        // One allocation holds a full block plus the carry of a refill.
+        t.block.reserve(BLOCK_INSTS + DECODE_BUF_CAP);
         t.block_pos = 0;
+        t.dec_head = 0;
         t.exhausted = false;
-        t.lookahead = None;
         t.last_fetch_line = u64::MAX;
         t.fetch_blocked_until = self.now;
         t.blocked_on_branch = None;
@@ -471,7 +649,7 @@ impl<M: MemPort> Cpu<M> {
     #[must_use]
     pub fn thread_idle(&self, tid: usize) -> bool {
         let t = &self.threads[tid];
-        t.exhausted && t.lookahead.is_none() && t.decode_buf.is_empty() && t.rob_len == 0
+        t.exhausted && t.decode_len() == 0 && t.rob_len == 0
     }
 
     /// Whether every context is idle.
@@ -639,12 +817,13 @@ impl<M: MemPort> Cpu<M> {
     fn dispatch_stall_profile(&self) -> (u64, u64, u64) {
         let (mut rob, mut queue, mut reg) = (0u64, 0u64, 0u64);
         for t in &self.threads {
-            let Some(inst) = t.decode_buf.front() else {
+            let Some(inst) = t.decode_front() else {
                 continue;
             };
             if t.rob_len >= self.config.sizing.rob_per_thread {
                 rob += 1;
-            } else if self.queues[queue_idx(inst.queue())].len() >= self.config.sizing.queue_entries
+            } else if self.queues[usize::from(op_class(inst.op).queue)].len()
+                >= self.config.sizing.queue_entries
             {
                 queue += 1;
             } else {
@@ -684,17 +863,17 @@ impl<M: MemPort> Cpu<M> {
             let d = &mut self.slab[id as usize];
             debug_assert_eq!(d.state, InstState::Executing);
             d.state = InstState::Done;
-            let tid = usize::from(d.tid);
-            let mispredicted = d.mispredicted;
-            if let Some(p) = d.dst {
-                self.rename.mark_ready(p);
-                // Waiters anywhere in the queues may now be issuable:
-                // invalidate the ready cursors.
-                self.ready_event = true;
+            // Waiters anywhere in the queues may now be issuable:
+            // a written register invalidates the ready cursors.
+            self.rename.mark_ready(d.dst);
+            self.ready_event |= d.dst != READY;
+            if !d.mispredicted {
+                continue;
             }
             // Branch resolution unblocks fetch (plus redirect penalty).
+            let tid = usize::from(d.tid);
             let t = &mut self.threads[tid];
-            if mispredicted && t.blocked_on_branch == Some(id) {
+            if t.blocked_on_branch == Some(id) {
                 t.blocked_on_branch = None;
                 t.fetch_blocked_until = self.now + self.config.mispredict_penalty;
                 // A redirect discards the thread's run-ahead state: the
@@ -713,45 +892,57 @@ impl<M: MemPort> Cpu<M> {
     fn commit(&mut self) -> usize {
         let n = self.threads.len();
         let rob = self.config.sizing.rob_per_thread;
-        let mut committed = 0;
         let mut budget = self.config.commit_width;
         // Rotate the starting thread for fairness.
         let mut tid = self.rr_cursor;
         for _ in 0..n {
+            if budget == 0 {
+                break;
+            }
             let t = &mut self.threads[tid];
-            while budget > 0 && t.rob_len > 0 {
-                // Read the head in place; its slot is free once the
-                // head moves past it.
-                let d = &self.slab[tid * rob + t.rob_head];
-                if d.state != InstState::Done {
-                    break;
+            if t.rob_len > 0 {
+                // The thread's ROB ring; the head is read in place and
+                // its slot is free once the head moves past it. Counts
+                // accumulate locally and reach the stats once per thread.
+                let ring = &self.slab[tid * rob..(tid + 1) * rob];
+                let limit = budget.min(t.rob_len);
+                let mut head = t.rob_head;
+                let (mut done, mut equiv_sum, mut branches, mut mispredicts) = (0, 0, 0, 0);
+                while done < limit {
+                    let d = &ring[head];
+                    if d.state != InstState::Done {
+                        break;
+                    }
+                    self.rename.release(d.prev_dst);
+                    let equiv = u64::from(d.equiv);
+                    equiv_sum += equiv;
+                    branches += u64::from(d.branch);
+                    // Only a branch can be mispredicted.
+                    mispredicts += u64::from(d.mispredicted);
+                    self.stats.record_commit_kind(d.kind, equiv);
+                    head += 1;
+                    if head == rob {
+                        head = 0;
+                    }
+                    done += 1;
                 }
-                if let Some(prev) = d.prev_dst {
-                    self.rename.release(prev);
+                if done > 0 {
+                    t.rob_head = head;
+                    t.rob_len -= done;
+                    budget -= done;
+                    let ts = &mut self.stats.threads[tid];
+                    ts.committed += done as u64;
+                    ts.committed_equiv += equiv_sum;
+                    ts.branches += branches;
+                    ts.mispredicts += mispredicts;
                 }
-                let ts = &mut self.stats.threads[tid];
-                let equiv = u64::from(d.equiv);
-                ts.committed += 1;
-                ts.committed_equiv += equiv;
-                if d.branch {
-                    ts.branches += 1;
-                    ts.mispredicts += u64::from(d.mispredicted);
-                }
-                self.stats.record_commit_kind(d.kind, equiv);
-                t.rob_head += 1;
-                if t.rob_head == rob {
-                    t.rob_head = 0;
-                }
-                t.rob_len -= 1;
-                committed += 1;
-                budget -= 1;
             }
             tid += 1;
             if tid == n {
                 tid = 0;
             }
         }
-        committed
+        self.config.commit_width - budget
     }
 
     /// Debug-build check of an issue-queue entry against its slab slot:
@@ -774,44 +965,26 @@ impl<M: MemPort> Cpu<M> {
 
     /// Execution latency of a non-memory instruction, plus any
     /// unpipelined-unit occupancy bookkeeping.
-    fn exec_latency(&mut self, op: Op, slen: u8) -> Cycle {
-        use medsim_isa::FpOp;
-        match op {
-            Op::Int(o) => match o {
-                IntOp::Mul | IntOp::Mulh => self.config.lat_int_mul,
-                IntOp::Div | IntOp::Rem => {
-                    let start = self.int_div_free.max(self.now);
-                    self.int_div_free = start + self.config.lat_int_div;
-                    (start - self.now) + self.config.lat_int_div
-                }
-                _ => 1,
-            },
-            Op::Ctl(_) => 1,
-            Op::Fp(o) => match o {
-                FpOp::FDiv | FpOp::FSqrt => {
-                    let start = self.fp_div_free.max(self.now);
-                    self.fp_div_free = start + self.config.lat_fp_div;
-                    (start - self.now) + self.config.lat_fp_div
-                }
-                FpOp::FMul | FpOp::FMadd => self.config.lat_fp_mul,
-                _ => self.config.lat_fp_add,
-            },
-            Op::Mmx(o) => {
-                if o.is_mul() {
-                    self.config.lat_simd_mul
-                } else {
-                    1
-                }
+    fn exec_latency(&mut self, lat: LatClass, slen: u8) -> Cycle {
+        match lat {
+            LatClass::One => 1,
+            LatClass::IntMul => self.config.lat_int_mul,
+            LatClass::IntDiv => {
+                let start = self.int_div_free.max(self.now);
+                self.int_div_free = start + self.config.lat_int_div;
+                (start - self.now) + self.config.lat_int_div
             }
-            Op::Mom(o) => {
-                let base = if o.is_mul() {
-                    self.config.lat_simd_mul
-                } else {
-                    1
-                };
-                self.media_occupancy(slen) + base - 1
+            LatClass::FpAdd => self.config.lat_fp_add,
+            LatClass::FpMul => self.config.lat_fp_mul,
+            LatClass::FpDiv => {
+                let start = self.fp_div_free.max(self.now);
+                self.fp_div_free = start + self.config.lat_fp_div;
+                (start - self.now) + self.config.lat_fp_div
             }
-            Op::Mem(_) => unreachable!("memory ops issue via issue_mem"),
+            LatClass::SimdMul => self.config.lat_simd_mul,
+            LatClass::Stream => self.media_occupancy(slen),
+            LatClass::StreamMul => self.media_occupancy(slen) + self.config.lat_simd_mul - 1,
+            LatClass::Mem => unreachable!("memory ops issue via issue_mem"),
         }
     }
 
@@ -858,9 +1031,9 @@ impl<M: MemPort> Cpu<M> {
                 continue;
             }
             let d = &self.slab[e.id as usize];
-            let (op, slen) = (d.inst.op, d.inst.slen);
+            let (lat, slen) = (d.lat, d.slen);
             let (tid, equiv) = (usize::from(d.tid), u64::from(d.equiv));
-            let is_stream = media_gated && matches!(op, Op::Mom(_));
+            let is_stream = media_gated && matches!(lat, LatClass::Stream | LatClass::StreamMul);
             if is_stream && self.media_unit_free > self.now {
                 cursor_stop.get_or_insert(write);
                 self.issue_blocked_ready = true;
@@ -868,7 +1041,7 @@ impl<M: MemPort> Cpu<M> {
                 write += 1;
                 continue;
             }
-            let lat = self.exec_latency(op, slen);
+            let lat = self.exec_latency(lat, slen);
             if is_stream {
                 self.media_unit_free = self.now + self.media_occupancy(slen);
             }
@@ -896,7 +1069,7 @@ impl<M: MemPort> Cpu<M> {
     /// the front and pin the cursor (ports free up over time, not
     /// through ready events).
     fn issue_mem(&mut self) -> usize {
-        let qi = queue_idx(QueueKind::Mem);
+        let qi = MEM_QUEUE;
         let len = self.queues[qi].len();
         let start = self.scan_from[qi].min(len);
         if start >= len {
@@ -919,15 +1092,15 @@ impl<M: MemPort> Cpu<M> {
             }
             let id = e.id;
             let d = &self.slab[id as usize];
-            let Some(mem) = d.inst.mem else {
+            let Some(mem) = d.mem else {
                 // Dispatch routes an instruction to the memory queue
                 // only for memory opcodes, and every constructor of
                 // those carries a MemRef.
-                unreachable!("memory-queue instruction without an access: {:?}", d.inst)
+                unreachable!("memory-queue instruction without an access: {:?}", d.op)
             };
             let tid = usize::from(d.tid);
             let equiv = u64::from(d.equiv);
-            let kind = access_kind(&d.inst);
+            let kind = d.access;
             let elems_before = d.mem_elems_issued;
             let mut mem_done = d.mem_done;
             // Decoupled drain: the run-ahead unit already issued the
@@ -1061,7 +1234,7 @@ impl<M: MemPort> Cpu<M> {
                 InstState::InQueue,
                 "drained entries leave the access queue"
             );
-            let Some(mem) = d.inst.mem else {
+            let Some(mem) = d.mem else {
                 continue;
             };
             if d.mem_elems_issued >= mem.count {
@@ -1156,20 +1329,25 @@ impl<M: MemPort> Cpu<M> {
         let n = self.threads.len();
         let rob = self.config.sizing.rob_per_thread;
         let queue_cap = self.config.sizing.queue_entries;
+        let run_ahead_on = self.config.decouple && self.config.decouple_depth > 0;
         let mut dispatched = 0;
         let mut budget = self.config.decode_width;
         let mut tid = self.rr_cursor;
         for _ in 0..n {
+            if budget == 0 {
+                break;
+            }
             let t = &mut self.threads[tid];
             while budget > 0 {
-                let Some(inst) = t.decode_buf.front() else {
+                let Some(inst) = t.decode_front() else {
                     break;
                 };
                 if t.rob_len >= rob {
                     self.stats.dispatch_rob_stalls += 1;
                     break;
                 }
-                let qi = queue_idx(inst.queue());
+                let class = op_class(inst.op);
+                let qi = usize::from(class.queue);
                 if self.queues[qi].len() >= queue_cap {
                     self.stats.dispatch_queue_stalls += 1;
                     break;
@@ -1184,34 +1362,33 @@ impl<M: MemPort> Cpu<M> {
                 ];
                 // MOM instructions implicitly read the stream-length
                 // register (integer r31, renamed through the int pool).
-                if let Op::Mom(o) = inst.op {
-                    if o != MomOp::SetVl {
-                        srcs[3] = self
-                            .rename
-                            .lookup(tid, medsim_isa::regs::int(medsim_isa::regs::STREAM_LEN_REG));
-                    }
+                if class.reads_vl {
+                    srcs[3] = self
+                        .rename
+                        .lookup(tid, medsim_isa::regs::int(medsim_isa::regs::STREAM_LEN_REG));
                 }
                 let (dst, prev_dst) = match inst.dst {
                     Some(dreg) if !dreg.is_zero() => match self.rename.allocate(tid, dreg) {
-                        Some((new, prev)) => (Some(new), Some(prev)),
+                        Some((new, prev)) => (new, prev),
                         None => {
                             self.stats.dispatch_reg_stalls += 1;
                             break;
                         }
                     },
-                    _ => (None, None),
+                    _ => (READY, READY),
                 };
 
                 // Branch prediction at decode: a wrong prediction blocks
                 // this thread's fetch until the branch resolves.
-                let mut mispredicted = false;
-                if let (Op::Ctl(c), Some(b)) = (inst.op, inst.branch) {
-                    if c.is_conditional() {
-                        mispredicted = !self.predictors[tid].predict_conditional(inst.pc, b.taken);
-                    } else if c.is_indirect() {
-                        mispredicted = !self.predictors[tid].predict_indirect(inst.pc, b.target);
+                let mispredicted = match (class.predict, inst.branch) {
+                    (Predict::Conditional, Some(b)) => {
+                        !self.predictors[tid].predict_conditional(inst.pc, b.taken)
                     }
-                }
+                    (Predict::Indirect, Some(b)) => {
+                        !self.predictors[tid].predict_indirect(inst.pc, b.target)
+                    }
+                    _ => false,
+                };
                 // Stream loads also enter the decoupled vector-fetch
                 // unit's access queue (stream addresses are known at
                 // dispatch — source operands gate execute, not fetch).
@@ -1223,11 +1400,10 @@ impl<M: MemPort> Cpu<M> {
                 // dormant — nothing is enqueued, so not even the
                 // occupancy bookkeeping can diverge from the coupled
                 // machine.
-                let run_ahead = self.config.decouple
-                    && self.config.decouple_depth > 0
-                    && inst.op.is_stream()
-                    && qi == queue_idx(QueueKind::Mem)
-                    && matches!(access_kind(inst), AccessKind::VectorLoad);
+                let run_ahead = run_ahead_on
+                    && class.stream
+                    && qi == MEM_QUEUE
+                    && class.access == AccessKind::VectorLoad;
 
                 // The thread's next ROB ring position is its slab slot.
                 let mut pos = t.rob_head + t.rob_len;
@@ -1238,18 +1414,22 @@ impl<M: MemPort> Cpu<M> {
                 self.slab[id as usize] = DynInst {
                     state: InstState::InQueue,
                     tid: tid as u8,
-                    kind: inst.kind(),
+                    kind: class.kind,
                     branch: inst.branch.is_some(),
                     mispredicted,
-                    equiv: inst.equivalent_count() as u8,
+                    equiv: if class.stream { inst.slen } else { 1 },
                     mem_elems_issued: 0,
+                    access: class.access,
                     dst,
                     prev_dst,
+                    op: inst.op,
+                    slen: inst.slen,
+                    lat: class.lat,
                     srcs,
                     mem_done: 0,
-                    inst: *inst,
+                    mem: inst.mem,
                 };
-                t.decode_buf.pop_front();
+                t.dec_head += 1;
                 t.rob_len += 1;
                 self.queues[qi].push(QueueEntry { id, srcs });
                 if run_ahead {
@@ -1283,11 +1463,17 @@ impl<M: MemPort> Cpu<M> {
         let mut infos = std::mem::take(&mut self.fetch_infos);
         infos.clear();
         let mut any_runnable = false;
+        let (mut branch_stalls, mut icache_stalls) = (0, 0);
+        // Non-short-circuit `&`: the per-thread conditions are data
+        // dependent, so evaluating all of them beats branching on each.
         for t in &self.threads {
-            let runnable = !t.exhausted
-                && t.blocked_on_branch.is_none()
-                && t.fetch_blocked_until <= self.now
-                && t.decode_buf.len() + self.config.fetch_width <= DECODE_BUF_CAP;
+            let live = !t.exhausted;
+            let branch_blocked = t.blocked_on_branch.is_some();
+            let time_blocked = t.fetch_blocked_until > self.now;
+            let runnable = live
+                & !branch_blocked
+                & !time_blocked
+                & (t.decode_len() + self.config.fetch_width <= DECODE_BUF_CAP);
             any_runnable |= runnable;
             infos.push(ThreadFetchInfo {
                 runnable,
@@ -1295,14 +1481,11 @@ impl<M: MemPort> Cpu<M> {
                 ocount: t.ocount,
                 fetched_vector_last: t.fetched_vector_last,
             });
-            if !t.exhausted {
-                if t.blocked_on_branch.is_some() {
-                    self.stats.fetch_branch_stalls += 1;
-                } else if t.fetch_blocked_until > self.now {
-                    self.stats.fetch_icache_stalls += 1;
-                }
-            }
+            branch_stalls += u64::from(live & branch_blocked);
+            icache_stalls += u64::from(live & !branch_blocked & time_blocked);
         }
+        self.stats.fetch_branch_stalls += branch_stalls;
+        self.stats.fetch_icache_stalls += icache_stalls;
         let mut chosen = std::mem::take(&mut self.fetch_sel);
         chosen.clear();
         // The selection policies only ever pick runnable threads, so
@@ -1323,20 +1506,14 @@ impl<M: MemPort> Cpu<M> {
         for &tid in &chosen {
             let t = &mut self.threads[tid];
             let mut any_vector = false;
+            let (mut fetched, mut ocount) = (0, 0);
             for _ in 0..self.config.fetch_width {
-                // Peek the next instruction.
-                let next = match t.lookahead.take() {
-                    Some(i) => Some(i),
-                    None => {
-                        let next = t.next_from_block();
-                        if next.is_none() {
-                            t.exhausted = true;
-                            t.source = None;
-                        }
-                        next
-                    }
-                };
-                let Some(inst) = next else { break };
+                // Peek the next instruction; it is consumed only once
+                // its I-cache line is available.
+                if t.block_pos == t.block.len() && !t.refill() {
+                    break;
+                }
+                let inst = &t.block[t.block_pos];
                 // I-cache: a new line must be fetched before its
                 // instructions can be consumed.
                 let line = inst.pc & !(ICACHE_LINE - 1);
@@ -1345,20 +1522,22 @@ impl<M: MemPort> Cpu<M> {
                     t.last_fetch_line = line;
                     if ready > self.now + 1 {
                         t.fetch_blocked_until = ready;
-                        t.lookahead = Some(inst);
                         break;
                     }
                 }
                 any_vector |= inst.op.is_simd();
-                t.decode_buf.push_back(inst);
-                t.icount += 1;
-                t.ocount += inst.equivalent_count();
-                self.stats.fetched += 1;
+                fetched += 1;
+                ocount += inst.equivalent_count();
                 // Fetch stops at a taken control transfer.
-                if inst.branch.is_some_and(|b| b.taken) {
+                let taken = inst.branch.is_some_and(|b| b.taken);
+                t.block_pos += 1;
+                if taken {
                     break;
                 }
             }
+            t.icount += fetched;
+            t.ocount += ocount;
+            self.stats.fetched += fetched as u64;
             t.fetched_vector_last = any_vector;
         }
         self.fetch_sel = chosen;
@@ -1367,40 +1546,6 @@ impl<M: MemPort> Cpu<M> {
             self.rr_cursor = 0;
         }
         any_chosen
-    }
-}
-
-/// Index of a dispatch queue in [`Cpu::queues`].
-#[inline]
-fn queue_idx(q: QueueKind) -> usize {
-    match q {
-        QueueKind::Int => 0,
-        QueueKind::Mem => 1,
-        QueueKind::Fp => 2,
-        QueueKind::Simd => 3,
-    }
-}
-
-fn access_kind(inst: &Inst) -> AccessKind {
-    let is_store = inst.op.is_store();
-    match inst.op {
-        Op::Mem(medsim_isa::MemOp::Prefetch) => AccessKind::Prefetch,
-        Op::Mom(MomOp::Vprefetch) => AccessKind::Prefetch,
-        Op::Mem(_) => {
-            if is_store {
-                AccessKind::ScalarStore
-            } else {
-                AccessKind::ScalarLoad
-            }
-        }
-        _ => {
-            // MMX and MOM packed/stream accesses use the vector path.
-            if is_store {
-                AccessKind::VectorStore
-            } else {
-                AccessKind::VectorLoad
-            }
-        }
     }
 }
 
@@ -1761,6 +1906,40 @@ mod tests {
         assert_eq!(stepped.dispatch_queue_stalls, 0);
         assert_eq!(stepped.dispatch_reg_stalls, 0);
         assert_eq!(run(true), stepped, "the idle skip replays the same stalls");
+    }
+
+    #[test]
+    fn op_class_table_is_dense_and_matches_the_op_predicates() {
+        let mut seen = vec![false; OP_CLASS.len()];
+        for op in Op::all() {
+            let i = op_index(op);
+            assert!(!seen[i], "{op:?} shares index {i}");
+            seen[i] = true;
+            let c = op_class(op);
+            assert_eq!(*c, classify(op), "{op:?}");
+            assert_eq!(usize::from(c.queue) == MEM_QUEUE, op.is_mem(), "{op:?}");
+            if op.is_mem() {
+                assert_eq!(c.access.is_store(), op.is_store(), "{op:?}");
+            }
+            let predicted = matches!(op, Op::Ctl(o) if o.is_conditional() || o.is_indirect());
+            assert_eq!(c.predict != Predict::None, predicted, "{op:?}");
+        }
+        assert!(seen.iter().all(|&s| s), "the index is dense");
+        for (op, access) in [
+            (Op::Mem(MemOp::LoadW), AccessKind::ScalarLoad),
+            (Op::Mem(MemOp::StoreD), AccessKind::ScalarStore),
+            (Op::Mem(MemOp::Prefetch), AccessKind::Prefetch),
+            (Op::Mmx(MmxOp::LoadQ), AccessKind::VectorLoad),
+            (Op::Mmx(MmxOp::StoreQ), AccessKind::VectorStore),
+            (Op::Mom(MomOp::VloadStride), AccessKind::VectorLoad),
+            (Op::Mom(MomOp::VstoreQ), AccessKind::VectorStore),
+            (Op::Mom(MomOp::Vprefetch), AccessKind::Prefetch),
+        ] {
+            assert_eq!(op_class(op).access, access, "{op:?}");
+        }
+        assert!(!op_class(Op::Mom(MomOp::SetVl)).reads_vl);
+        assert!(op_class(Op::Mom(MomOp::VaddW)).reads_vl);
+        assert!(!op_class(Op::Mmx(MmxOp::PaddW)).reads_vl);
     }
 
     /// `dispatch_rob_stalls` of the seed pipeline on the divide-chain

@@ -38,13 +38,12 @@ impl Predictor {
     /// prediction matched the actual outcome.
     pub fn predict_conditional(&mut self, pc: u64, taken: bool) -> bool {
         let idx = self.index(pc);
-        let predicted = self.counters[idx] >= 2;
-        // Train the counter.
-        if taken {
-            self.counters[idx] = (self.counters[idx] + 1).min(3);
-        } else {
-            self.counters[idx] = self.counters[idx].saturating_sub(1);
-        }
+        let counter = self.counters[idx];
+        let predicted = counter >= 2;
+        // Train the saturating counter without branching on the outcome.
+        let up = u8::from(taken & (counter < 3));
+        let down = u8::from(!taken & (counter > 0));
+        self.counters[idx] = counter + up - down;
         self.history = ((self.history << 1) | u64::from(taken)) & ((1 << self.history_bits) - 1);
         predicted == taken
     }

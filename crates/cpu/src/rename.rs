@@ -8,6 +8,7 @@
 //! what the Table-1 sizing sweep provisions against.
 
 use crate::config::SizingParams;
+use medsim_isa::regs::ZERO_REG;
 use medsim_isa::{LogicalReg, RegClass};
 
 /// A physical register: a flat index over every class's pool (the
@@ -23,13 +24,23 @@ pub const READY: PhysReg = 0;
 /// Architectural registers per class, in [`class_idx`] order.
 const ARCH_COUNTS: [usize; 5] = [32, 32, 32, 16, 2];
 
-/// Offset of each class's logical registers in a thread's map table.
-const ARCH_BASE: [usize; 5] = [0, 32, 64, 96, 112];
+/// Offset of each class's logical registers in a thread's map table,
+/// followed by the offset of the entry an absent source reads.
+const ARCH_BASE: [usize; 6] = [0, 32, 64, 96, 112, ARCH_TOTAL];
 
-/// Map-table entries per thread.
+/// Architectural map-table entries per thread.
 const ARCH_TOTAL: usize = 114;
 
+/// Map-table entries per thread: the architectural ones plus one that
+/// always holds [`READY`], read by an absent source.
+const MAP_STRIDE: usize = ARCH_TOTAL + 1;
+
 const _: () = assert!(ARCH_BASE[4] + ARCH_COUNTS[4] == ARCH_TOTAL);
+
+/// Free-list index of the sink [`RenameFile::release`] sends
+/// [`READY`] to: a one-slot list that never grows, so releasing "no
+/// register" needs no branch.
+const SINK: usize = 5;
 
 fn class_idx(c: RegClass) -> usize {
     match c {
@@ -44,16 +55,22 @@ fn class_idx(c: RegClass) -> usize {
 /// Rename state: per-thread tables + shared free lists + ready bits.
 #[derive(Debug)]
 pub struct RenameFile {
-    /// `tables[tid * ARCH_TOTAL + ARCH_BASE[class] + logical]` is the
-    /// physical register the logical register maps to.
+    /// `tables[tid * MAP_STRIDE + ARCH_BASE[class] + logical]` is the
+    /// physical register the logical register maps to. The hard-wired
+    /// zero register maps to [`READY`], as does each thread's extra
+    /// absent-source entry.
     tables: Vec<PhysReg>,
-    /// Per-class free lists of flat physical registers.
-    free: [Vec<PhysReg>; 5],
+    /// Per-class free lists (then the [`SINK`]), stored as fixed
+    /// regions of one array: list `c` is `free[free_base[c]..][..free_len[c]]`,
+    /// popped and pushed at its end.
+    free: Vec<PhysReg>,
+    free_base: [usize; 6],
+    free_len: [usize; 6],
     /// Ready bit per flat physical register; entry [`READY`] is the
     /// sentinel and always set.
     ready: Vec<bool>,
-    /// Class index of each flat physical register (release returns a
-    /// register to its own pool).
+    /// Free-list index of each flat physical register (release returns
+    /// a register to its own pool; [`READY`] goes to the [`SINK`]).
     class_of: Vec<u8>,
 }
 
@@ -84,43 +101,68 @@ impl RenameFile {
             total <= usize::from(PhysReg::MAX),
             "physical pools too large for flat indices: {total}"
         );
-        let mut free: [Vec<PhysReg>; 5] = Default::default();
+        // Physical register `p`'s pool region starts where its flat
+        // index range does, so `free` has one slot per flat index (slot
+        // 0, the sentinel's, is the sink).
+        let mut free = vec![READY; total];
+        let mut free_base = [0; 6];
+        let mut free_len = [0; 6];
         let mut ready = vec![false; total];
         ready[usize::from(READY)] = true;
-        let mut class_of = vec![0u8; total];
+        let mut class_of = vec![SINK as u8; total];
         let mut base = 1usize;
         for c in 0..5 {
             let range = base..base + pool_sizes[c];
             class_of[range.clone()].fill(c as u8);
             // Lowest index allocated first.
-            free[c] = range.rev().map(|p| p as PhysReg).collect();
+            for (slot, p) in free[range.clone()].iter_mut().zip(range.rev()) {
+                *slot = p as PhysReg;
+            }
+            free_base[c] = base;
+            free_len[c] = pool_sizes[c];
             base += pool_sizes[c];
         }
-        let mut tables = Vec::with_capacity(threads * ARCH_TOTAL);
-        for _ in 0..threads {
-            for c in 0..5 {
-                for _ in 0..ARCH_COUNTS[c] {
-                    let p = free[c].pop().expect("pool sized above");
-                    ready[usize::from(p)] = true;
-                    tables.push(p);
-                }
-            }
-        }
-        RenameFile {
-            tables,
+        let mut rf = RenameFile {
+            tables: Vec::with_capacity(threads * MAP_STRIDE),
             free,
+            free_base,
+            free_len,
             ready,
             class_of,
+        };
+        for _ in 0..threads {
+            for (c, &arch) in ARCH_COUNTS.iter().enumerate() {
+                for _ in 0..arch {
+                    let p = rf.pop_free(c).expect("pool sized above");
+                    rf.ready[usize::from(p)] = true;
+                    rf.tables.push(p);
+                }
+            }
+            // The zero register keeps its physical register out of the
+            // pool but reads as the sentinel.
+            let zero = rf.tables.len() - ARCH_TOTAL + ARCH_BASE[0] + usize::from(ZERO_REG);
+            rf.tables[zero] = READY;
+            rf.tables.push(READY);
         }
+        rf
+    }
+
+    /// Pop the most recently freed register of free list `c`.
+    #[inline]
+    fn pop_free(&mut self, c: usize) -> Option<PhysReg> {
+        let len = self.free_len[c].checked_sub(1)?;
+        self.free_len[c] = len;
+        Some(self.free[self.free_base[c] + len])
     }
 
     /// Map-table slot of `reg` for thread `tid`.
     #[inline]
     fn slot(tid: usize, reg: LogicalReg) -> usize {
-        tid * ARCH_TOTAL + ARCH_BASE[class_idx(reg.class)] + usize::from(reg.index)
+        tid * MAP_STRIDE + ARCH_BASE[class_idx(reg.class)] + usize::from(reg.index)
     }
 
-    /// Current physical mapping of `reg` for thread `tid`.
+    /// Current physical mapping of `reg` for thread `tid` ([`READY`]
+    /// for the hard-wired zero register).
     #[must_use]
     #[inline]
     pub fn lookup(&self, tid: usize, reg: LogicalReg) -> PhysReg {
@@ -128,20 +170,22 @@ impl RenameFile {
     }
 
     /// Physical register a source operand reads: [`READY`] for an
-    /// absent source or the hard-wired zero register.
+    /// absent source or the hard-wired zero register. Branch-free: an
+    /// absent source reads the thread's extra map entry.
     #[must_use]
     #[inline]
     pub fn lookup_src(&self, tid: usize, reg: Option<LogicalReg>) -> PhysReg {
-        match reg {
-            Some(r) if !r.is_zero() => self.lookup(tid, r),
-            _ => READY,
-        }
+        let (base, index) = match reg {
+            Some(r) => (ARCH_BASE[class_idx(r.class)], usize::from(r.index)),
+            None => (ARCH_TOTAL, 0),
+        };
+        self.tables[tid * MAP_STRIDE + base + index]
     }
 
     /// Free physical registers remaining in `class`'s pool.
     #[must_use]
     pub fn free_count(&self, class: RegClass) -> usize {
-        self.free[class_idx(class)].len()
+        self.free_len[class_idx(class)]
     }
 
     /// Rename a destination: allocate a fresh physical register (not
@@ -150,7 +194,8 @@ impl RenameFile {
     /// is empty (dispatch must stall).
     #[inline]
     pub fn allocate(&mut self, tid: usize, reg: LogicalReg) -> Option<(PhysReg, PhysReg)> {
-        let new = self.free[class_idx(reg.class)].pop()?;
+        debug_assert!(!reg.is_zero(), "the zero register is never renamed");
+        let new = self.pop_free(class_idx(reg.class))?;
         self.ready[usize::from(new)] = false;
         let slot = Self::slot(tid, reg);
         let prev = std::mem::replace(&mut self.tables[slot], new);
@@ -184,12 +229,18 @@ impl RenameFile {
 
     /// Return a physical register to the free pool (at commit, the
     /// previous mapping of the committing instruction's destination).
+    /// Releasing [`READY`] — an instruction without a destination — is
+    /// a no-op, taken without a branch.
     #[inline]
     pub fn release(&mut self, p: PhysReg) {
-        debug_assert_ne!(p, READY, "the sentinel is never allocated");
         let c = usize::from(self.class_of[usize::from(p)]);
-        debug_assert!(!self.free[c].contains(&p), "double free of p{p}");
-        self.free[c].push(p);
+        let len = self.free_len[c];
+        debug_assert!(
+            p == READY || !self.free[self.free_base[c]..][..len].contains(&p),
+            "double free of p{p}"
+        );
+        self.free[self.free_base[c] + len] = p;
+        self.free_len[c] = len + usize::from(p != READY);
     }
 }
 
@@ -282,6 +333,23 @@ mod tests {
             assert_ne!(p, READY, "the sentinel is not in any pool");
         }
         assert!(f.is_ready(READY));
+    }
+
+    #[test]
+    fn releasing_the_sentinel_is_a_no_op() {
+        let mut f = file(1);
+        let counts = RegClass::ALL.map(|c| f.free_count(c));
+        f.release(READY);
+        f.release(READY);
+        assert_eq!(RegClass::ALL.map(|c| f.free_count(c)), counts);
+        let (new, prev) = f.allocate(0, int(3)).unwrap();
+        f.release(prev);
+        assert_eq!(
+            f.allocate(0, int(4)).unwrap().0,
+            prev,
+            "last freed, first reused"
+        );
+        assert_ne!(new, READY);
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl core::fmt::Display for QueueKind {
 impl Op {
     /// The reporting class of this operation (Table 3 buckets).
     #[must_use]
-    pub fn kind(self) -> OpKind {
+    pub const fn kind(self) -> OpKind {
         match self {
             Op::Int(_) | Op::Ctl(_) => OpKind::Integer,
             Op::Fp(_) => OpKind::Fp,
@@ -138,7 +138,7 @@ impl Op {
 
     /// The instruction queue this operation dispatches to.
     #[must_use]
-    pub fn queue(self) -> QueueKind {
+    pub const fn queue(self) -> QueueKind {
         match self {
             Op::Int(_) | Op::Ctl(_) => QueueKind::Int,
             Op::Fp(_) => QueueKind::Fp,
@@ -162,7 +162,7 @@ impl Op {
 
     /// Whether the operation reads or writes memory.
     #[must_use]
-    pub fn is_mem(self) -> bool {
+    pub const fn is_mem(self) -> bool {
         match self {
             Op::Mem(_) => true,
             Op::Mmx(m) => m.is_mem(),
@@ -173,7 +173,7 @@ impl Op {
 
     /// Whether the operation writes memory.
     #[must_use]
-    pub fn is_store(self) -> bool {
+    pub const fn is_store(self) -> bool {
         match self {
             Op::Mem(m) => m.is_store(),
             Op::Mmx(m) => m.is_store(),
@@ -190,14 +190,14 @@ impl Op {
 
     /// Whether this is a MOM (stream) operation.
     #[must_use]
-    pub fn is_stream(self) -> bool {
+    pub const fn is_stream(self) -> bool {
         matches!(self, Op::Mom(_))
     }
 
     /// Whether this is a vector/SIMD operation of either extension
     /// (used by the BALANCE fetch policy to classify fetch groups).
     #[must_use]
-    pub fn is_simd(self) -> bool {
+    pub const fn is_simd(self) -> bool {
         matches!(self, Op::Mmx(_) | Op::Mom(_))
     }
 
