@@ -23,10 +23,6 @@
 //!   [`PackedStream::next_block_into`] (whole blocks into a reused
 //!   buffer, memoized word decode) — the decoder the CPU model
 //!   actually drives, printed against the per-inst row;
-//! * `event_queue` — a synthetic completion stream through the
-//!   calendar-queue scheduler (`sim_cycles` holds *operations*, so
-//!   `sim_cycles_per_sec` reads as queue ops/sec), printed against the
-//!   seed binary heap on the same stream;
 //! * `stream_batch` — a stream-heavy SMT+MOM run with the batched
 //!   `request_stream` path (the default), printed against the
 //!   per-element reference path;
@@ -49,7 +45,6 @@ use medsim_bench::{spec_from_env, timed_secs, BenchRecorder};
 use medsim_core::experiments::fig5_real;
 use medsim_core::runner::{effective_jobs, run_grid};
 use medsim_core::sim::{SimConfig, Simulation};
-use medsim_cpu::{CompletionQueue, SchedulerKind};
 use medsim_isa::Inst;
 use medsim_trace::{PackedStream, PackedTrace};
 use medsim_workloads::trace::SimdIsa;
@@ -165,46 +160,6 @@ fn main() {
         "packed_block_decode: {:.0} insts/sec ({:.2}x the per-inst decode)",
         block_decoded as f64 / blk_s.max(1e-9),
         dec_s / blk_s.max(1e-9),
-    );
-
-    // Completion-scheduler microbenchmark: a pipeline-shaped event
-    // stream (bursts of short-latency completions, a DRAM-class tail)
-    // through the calendar queue, printed against the seed heap.
-    let queue_ops = |kind: SchedulerKind| -> u64 {
-        let mut q = CompletionQueue::new(kind, 256);
-        let mut due = Vec::new();
-        let mut now = 0u64;
-        let mut i = 0u64;
-        let mut ops = 0u64;
-        while ops < 3_000_000 {
-            for _ in 0..3 {
-                i += 1;
-                let lat = match i % 64 {
-                    0 => 320,    // DRAM-class overflow event
-                    1..=4 => 40, // L2-ish
-                    _ => 1 + (i % 6),
-                };
-                q.push(now + lat, (i & 0xffff) as u32);
-                ops += 1;
-            }
-            now += 1;
-            due.clear();
-            q.drain_due(now, &mut due);
-            ops += due.len() as u64;
-        }
-        due.clear();
-        q.drain_due(u64::MAX, &mut due);
-        ops + due.len() as u64
-    };
-    let (wheel_ops, wheel_s) = timed_secs(|| queue_ops(SchedulerKind::Wheel));
-    recorder.record("event_queue", wheel_s, wheel_ops);
-    let (heap_ops, heap_s) = timed_secs(|| queue_ops(SchedulerKind::Heap));
-    assert_eq!(wheel_ops, heap_ops, "both schedulers process every event");
-    println!(
-        "event_queue: wheel {:.0} ops/sec vs heap {:.0} ops/sec ({:.2}x)",
-        wheel_ops as f64 / wheel_s.max(1e-9),
-        heap_ops as f64 / heap_s.max(1e-9),
-        heap_s / wheel_s.max(1e-9),
     );
 
     // Batched stream requests on a stream-heavy SMT+MOM run over the

@@ -137,7 +137,6 @@ fn build_cores(config: &SimConfig, n_cores: usize) -> Vec<Cpu> {
     let mem_config = mem_config_of(config);
     let cpu_config = CpuConfig::paper(config.threads, config.isa)
         .with_policy(config.fetch_policy)
-        .with_scheduler(config.scheduler)
         .with_stream_batch(config.stream_batch)
         .with_decouple(config.decouple)
         .with_decouple_depth(config.decouple_depth);

@@ -48,7 +48,7 @@
 use crate::metrics::{RunResult, VfetchCounters};
 use crate::runner::TraceCache;
 use crate::sim::SimConfig;
-use medsim_cpu::{CpuConfig, EnvKnobs, FetchPolicy, SchedulerKind, SizingParams};
+use medsim_cpu::{CpuConfig, EnvKnobs, FetchPolicy, SizingParams};
 use medsim_mem::{CacheConfig, DramConfig, HierarchyKind, MemConfig};
 use medsim_trace::{unique_tmp_name, StoreStats};
 use medsim_workloads::trace::SimdIsa;
@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// On-disk format version of result files; bump on any change to the
 /// header or the [`RunResult`] encoding. Mismatching files are ignored
 /// and self-healed (simulation fallback + write-back).
-pub const RESULT_FORMAT_VERSION: u32 = 2;
+pub const RESULT_FORMAT_VERSION: u32 = 3;
 
 const MAGIC: [u8; 4] = *b"MRES";
 const HEADER_LEN: usize = 16;
@@ -104,7 +104,7 @@ impl ResultKey {
     }
 
     /// [`ResultKey::of`] with the two non-`SimConfig` inputs — the
-    /// calendar-queue horizon and the combined workload checksum —
+    /// completion-wheel horizon and the combined workload checksum —
     /// supplied explicitly, so property tests can prove each
     /// participates in the hash without mutating process state.
     ///
@@ -127,7 +127,6 @@ impl ResultKey {
             max_cycles,
             mem_override,
             max_stream_len,
-            scheduler,
             stream_batch,
             decouple,
             decouple_depth,
@@ -142,7 +141,6 @@ impl ResultKey {
         h.u64(*max_cycles);
         h.u8(u8::from(mem_override.is_some()));
         h.u8(*max_stream_len);
-        h.u8(scheduler_tag(*scheduler));
         h.u8(u8::from(*stream_batch));
         h.u8(u8::from(*decouple));
         h.usz(*decouple_depth);
@@ -151,12 +149,11 @@ impl ResultKey {
         // override and an identical explicit config hash identically.
         hash_mem(&mut h, &crate::machine::mem_config_of(config));
         // The derived per-core pipeline, built exactly as
-        // machine::build_cores does, with the calendar-queue horizon
+        // machine::build_cores does, with the completion-wheel horizon
         // (the one EnvKnobs field SimConfig does not carry) overridden
         // by the caller.
         let mut cpu = CpuConfig::paper(config.threads, config.isa)
             .with_policy(config.fetch_policy)
-            .with_scheduler(config.scheduler)
             .with_stream_batch(config.stream_batch)
             .with_decouple(config.decouple)
             .with_decouple_depth(config.decouple_depth);
@@ -640,13 +637,6 @@ fn policy_tag(p: FetchPolicy) -> u8 {
     }
 }
 
-fn scheduler_tag(s: SchedulerKind) -> u8 {
-    match s {
-        SchedulerKind::Wheel => 0,
-        SchedulerKind::Heap => 1,
-    }
-}
-
 fn hash_mem(h: &mut Fnv, mem: &MemConfig) {
     // Exhaustive destructuring: a new memory knob must be hashed (or
     // consciously skipped here) before this compiles.
@@ -724,7 +714,6 @@ fn hash_cpu(h: &mut Fnv, cpu: &CpuConfig) {
         lat_fp_mul,
         lat_fp_div,
         lat_simd_mul,
-        scheduler,
         wheel_slots,
         stream_batch,
         decouple,
@@ -777,7 +766,6 @@ fn hash_cpu(h: &mut Fnv, cpu: &CpuConfig) {
     ] {
         h.u64(*v);
     }
-    h.u8(scheduler_tag(*scheduler));
     h.usz(*wheel_slots);
     h.u8(u8::from(*stream_batch));
     h.u8(u8::from(*decouple));

@@ -13,7 +13,7 @@ use crate::machine;
 use crate::metrics::RunResult;
 use crate::resultstore::{ResultCache, ResultKey};
 use crate::runner::TraceCache;
-use medsim_cpu::{EnvKnobs, FetchPolicy, SchedulerKind};
+use medsim_cpu::{EnvKnobs, FetchPolicy};
 use medsim_mem::{HierarchyKind, MemConfig};
 use medsim_workloads::trace::SimdIsa;
 use medsim_workloads::WorkloadSpec;
@@ -44,9 +44,6 @@ pub struct SimConfig {
     /// Cap on MOM stream lengths (ablation): stream instructions longer
     /// than this are split. `16` (the architectural maximum) disables it.
     pub max_stream_len: u8,
-    /// Completion scheduler (calendar queue by default; the seed binary
-    /// heap as a differential reference).
-    pub scheduler: SchedulerKind,
     /// Batched stream-request path (`false` = per-element reference).
     pub stream_batch: bool,
     /// Decoupled vector-fetch unit (`MEDSIM_DECOUPLE`, default off): a
@@ -81,7 +78,6 @@ impl SimConfig {
             max_cycles: 2_000_000_000,
             mem_override: None,
             max_stream_len: medsim_isa::MAX_STREAM_LEN,
-            scheduler: knobs.scheduler,
             stream_batch: knobs.stream_batch,
             decouple: knobs.decouple,
             decouple_depth: knobs.decouple_depth,
@@ -92,13 +88,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = cores;
-        self
-    }
-
-    /// Builder: select the completion scheduler (differential testing).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 

@@ -1,6 +1,6 @@
 //! Processor configuration, with the paper's parameters as defaults.
 
-use crate::events::{wheel_slots_from_env, SchedulerKind};
+use crate::events::wheel_slots_from_env;
 use medsim_workloads::SimdIsa;
 use serde::{Deserialize, Serialize};
 
@@ -180,10 +180,7 @@ pub struct CpuConfig {
     pub lat_fp_div: u64,
     /// Packed-multiply latency (MMX or per-group MOM).
     pub lat_simd_mul: u64,
-    /// Completion scheduler (calendar queue, or the seed binary heap as
-    /// a differential reference).
-    pub scheduler: SchedulerKind,
-    /// Calendar-queue horizon in cycles (wheel slot count).
+    /// Completion-count wheel horizon in cycles (wheel slot count).
     pub wheel_slots: usize,
     /// Resolve stream memory instructions through the batched
     /// [`medsim_mem::MemSystem::request_stream`] path (`false` = the
@@ -229,7 +226,6 @@ impl CpuConfig {
             lat_fp_mul: 4,
             lat_fp_div: 12,
             lat_simd_mul: 3,
-            scheduler: knobs.scheduler,
             wheel_slots: knobs.wheel_slots,
             stream_batch: knobs.stream_batch,
             decouple: knobs.decouple,
@@ -241,13 +237,6 @@ impl CpuConfig {
     #[must_use]
     pub fn with_policy(mut self, policy: FetchPolicy) -> Self {
         self.fetch_policy = policy;
-        self
-    }
-
-    /// Same configuration with a different completion scheduler.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -323,11 +312,9 @@ pub fn stream_batch_from_env() -> bool {
 /// racy with these reads). Builder methods still override per config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnvKnobs {
-    /// `MEDSIM_SCHED`: completion scheduler.
-    pub scheduler: SchedulerKind,
     /// `MEDSIM_STREAM_BATCH`: batched stream-request path.
     pub stream_batch: bool,
-    /// `MEDSIM_WHEEL_SLOTS`: calendar-queue horizon.
+    /// `MEDSIM_WHEEL_SLOTS`: completion-count wheel horizon.
     pub wheel_slots: usize,
     /// `MEDSIM_DECOUPLE`: decoupled run-ahead vector fetch.
     pub decouple: bool,
@@ -342,7 +329,6 @@ impl EnvKnobs {
     pub fn get() -> EnvKnobs {
         static KNOBS: std::sync::OnceLock<EnvKnobs> = std::sync::OnceLock::new();
         *KNOBS.get_or_init(|| EnvKnobs {
-            scheduler: SchedulerKind::from_env(),
             stream_batch: stream_batch_from_env(),
             wheel_slots: wheel_slots_from_env(),
             decouple: decouple_from_env(),
@@ -422,9 +408,7 @@ mod tests {
         let first = EnvKnobs::get();
         // A mid-process environment change must not produce configs
         // that disagree with earlier ones. Only knobs no parallel test
-        // reads raw are mutated here (`scheduler_kind_env_parsing`
-        // asserts the unfrozen `SchedulerKind::from_env` directly, so
-        // touching MEDSIM_SCHED would race it).
+        // reads raw are mutated here.
         let second = with_env_vars(
             &[
                 ("MEDSIM_STREAM_BATCH", "0"),
@@ -435,7 +419,6 @@ mod tests {
         );
         assert_eq!(first, second, "knobs resolve once per process");
         let cfg = CpuConfig::paper(1, SimdIsa::Mmx);
-        assert_eq!(cfg.scheduler, first.scheduler);
         assert_eq!(cfg.stream_batch, first.stream_batch);
         assert_eq!(cfg.wheel_slots, first.wheel_slots);
     }

@@ -34,7 +34,7 @@ pub mod rename;
 pub mod stats;
 
 pub use config::{CpuConfig, EnvKnobs, FetchPolicy, SizingParams};
-pub use events::{CompletionQueue, EventQueue, SchedulerKind};
+pub use events::CountWheel;
 pub use pipeline::{Cpu, MemPort};
 pub use stats::CpuStats;
 

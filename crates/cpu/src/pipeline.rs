@@ -1,9 +1,10 @@
 //! The assembled SMT out-of-order pipeline.
 //!
-//! Cycle phases, in order: **complete** (finished executions wake their
-//! dependents and resolve branches), **commit** (per-thread in-order
-//! graduation), **issue** (oldest-first from the four queues, within
-//! per-queue widths and functional-unit occupancy), **dispatch**
+//! Cycle phases, in order: **complete** (count the executions that
+//! finish now and resolve the branches due now), **commit** (per-thread
+//! in-order graduation), **issue** (oldest-first from the four queues,
+//! within per-queue widths and functional-unit occupancy; issue also
+//! times every result, see [`Cpu::schedule`]), **dispatch**
 //! (rename + queue insertion, up to the decode width), **fetch** (up to
 //! two thread groups of four, chosen by the fetch policy, through the
 //! I-cache).
@@ -15,8 +16,8 @@
 //! paper's §5.4 exploits with the decoupled cache hierarchy.
 
 use crate::config::CpuConfig;
-use crate::events::CompletionQueue;
-use crate::fetch::{select_threads_into, ThreadFetchInfo};
+use crate::events::CountWheel;
+use crate::fetch::{rotate_threads, select_threads, ThreadFetchInfo, MAX_THREADS};
 use crate::predictor::Predictor;
 use crate::rename::{PhysReg, RenameFile, READY};
 use crate::stats::CpuStats;
@@ -101,8 +102,9 @@ impl MemPort for MemSystem {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InstState {
     InQueue,
+    /// Issued: the result is available from [`DynInst::done_at`] on,
+    /// and the instruction may commit from then.
     Executing,
-    Done,
 }
 
 /// One vector load tracked by the decoupled vector-fetch unit, in
@@ -333,7 +335,9 @@ struct DynInst {
     /// Renamed sources, padded with [`READY`]; the queue entry carries
     /// a copy (see [`QueueEntry`]).
     srcs: [PhysReg; 4],
-    mem_done: Cycle,
+    /// While a memory access issues, the latest reply of its elements;
+    /// once [`InstState::Executing`], the completion cycle.
+    done_at: Cycle,
     mem: Option<MemRef>,
 }
 
@@ -343,7 +347,7 @@ impl DynInst {
     /// Filler for slab slots no instruction occupies yet.
     fn vacant() -> Self {
         DynInst {
-            state: InstState::Done,
+            state: InstState::InQueue,
             tid: 0,
             kind: OpKind::Integer,
             branch: false,
@@ -357,7 +361,7 @@ impl DynInst {
             slen: 1,
             lat: LatClass::One,
             srcs: [READY; 4],
-            mem_done: 0,
+            done_at: 0,
             mem: None,
         }
     }
@@ -401,6 +405,9 @@ struct ThreadCtx {
     block: Vec<Inst>,
     /// Scratch for that carry.
     carry: Vec<Inst>,
+    /// Completion cycle of the `blocked_on_branch` branch once it has
+    /// issued (the thread's bit in [`Cpu::resolving`] is then set).
+    resolve_at: Cycle,
     /// Block-oriented instruction supply (a generator adapter or a
     /// packed trace decoder).
     source: Option<Box<dyn InstSource>>,
@@ -416,6 +423,7 @@ impl ThreadCtx {
             dec_head: 0,
             fetch_blocked_until: 0,
             blocked_on_branch: None,
+            resolve_at: 0,
             last_fetch_line: u64::MAX,
             exhausted: true,
             rob_head: 0,
@@ -477,16 +485,21 @@ pub struct Cpu<M: MemPort = MemSystem> {
     /// Every in-flight instruction, `threads × rob_per_thread` slots:
     /// thread `tid`'s ROB is the ring of slots `tid × rob_per_thread
     /// ..` with head and length in its [`ThreadCtx`], so an
-    /// instruction's slot (its id in the queues and the completion
-    /// scheduler) is fixed at dispatch and commit frees it by advancing
-    /// the head.
+    /// instruction's slot (its id in the queues) is fixed at dispatch
+    /// and commit frees it by advancing the head.
     slab: Vec<DynInst>,
     queues: [Vec<QueueEntry>; 4],
     threads: Vec<ThreadCtx>,
     predictors: Vec<Predictor>,
-    completions: CompletionQueue,
-    /// Scratch for the completions due this cycle (reused every cycle).
-    due: Vec<u32>,
+    /// Issued instructions counted by completion cycle.
+    completions: CountWheel,
+    /// Threads whose ROB head may be [`InstState::Executing`] (a
+    /// superset: [`Cpu::schedule`] sets a thread's bit, commit clears
+    /// it when the head is not executing), so commit visits only these.
+    head_mask: u64,
+    /// Threads whose `blocked_on_branch` has issued and resolves at the
+    /// thread's `resolve_at`.
+    resolving: u64,
     stats: CpuStats,
     rr_cursor: usize,
     media_unit_free: Cycle,
@@ -494,10 +507,9 @@ pub struct Cpu<M: MemPort = MemSystem> {
     fp_div_free: Cycle,
     /// Per-queue ready cursor: entries before it are known to be
     /// waiting on source registers, so the issue scan resumes here.
-    /// Valid until any register becomes ready (then reset to 0).
+    /// Valid until any register may have become ready — a cycle with
+    /// completions — then reset to 0.
     scan_from: [usize; 4],
-    /// A register was marked ready since the last issue scan.
-    ready_event: bool,
     /// Issue saw an entry with ready sources that still could not
     /// (fully) issue this cycle — port or media-unit pressure, so the
     /// idle fast-forward must not skip ahead.
@@ -512,10 +524,6 @@ pub struct Cpu<M: MemPort = MemSystem> {
     /// loads still ahead of execute). Empty unless
     /// [`CpuConfig::decouple`] is set.
     vfetch: VecDeque<VFetchEntry>,
-    /// Scratch for fetch-policy inputs (reused every cycle).
-    fetch_infos: Vec<ThreadFetchInfo>,
-    /// Scratch for the fetch thread selection (reused every cycle).
-    fetch_sel: Vec<usize>,
 }
 
 impl<M: MemPort> Cpu<M> {
@@ -524,8 +532,8 @@ impl<M: MemPort> Cpu<M> {
     pub fn new(config: CpuConfig, mem: M) -> Self {
         let threads = config.threads;
         assert!(
-            threads <= 256,
-            "thread ids are stored in a byte: {threads} threads"
+            threads <= MAX_THREADS,
+            "thread sets are {MAX_THREADS}-bit masks: {threads} threads"
         );
         let rename = RenameFile::new(threads, &config.sizing);
         Cpu {
@@ -537,20 +545,18 @@ impl<M: MemPort> Cpu<M> {
             queues: Default::default(),
             threads: (0..threads).map(|_| ThreadCtx::empty()).collect(),
             predictors: (0..threads).map(|_| Predictor::new(12)).collect(),
-            completions: CompletionQueue::new(config.scheduler, config.wheel_slots),
-            due: Vec::new(),
+            completions: CountWheel::new(config.wheel_slots),
+            head_mask: 0,
+            resolving: 0,
             rr_cursor: 0,
             media_unit_free: 0,
             int_div_free: 0,
             fp_div_free: 0,
             scan_from: [0; 4],
-            ready_event: false,
             issue_blocked_ready: false,
             fast_forward: true,
             obs_lane: 0,
             vfetch: VecDeque::new(),
-            fetch_infos: Vec::with_capacity(threads),
-            fetch_sel: Vec::with_capacity(threads),
             config,
         }
     }
@@ -623,6 +629,7 @@ impl<M: MemPort> Cpu<M> {
         t.last_fetch_line = u64::MAX;
         t.fetch_blocked_until = self.now;
         t.blocked_on_branch = None;
+        self.resolving &= !(1 << tid);
     }
 
     /// Attach a per-instruction stream to hardware context `tid`
@@ -682,11 +689,10 @@ impl<M: MemPort> Cpu<M> {
     pub fn cycle_no_ff(&mut self) -> bool {
         let completed = self.complete();
         let committed = self.commit();
-        // A completion marked registers ready: every queue prefix that
-        // was known-blocked must be rescanned.
-        if self.ready_event {
+        // Registers become ready only at completion cycles: every queue
+        // prefix that was known-blocked must then be rescanned.
+        if completed != 0 {
             self.scan_from = [0; 4];
-            self.ready_event = false;
         }
         self.issue_blocked_ready = false;
         let int_i = self.issue_queue(QueueKind::Int, self.config.int_issue);
@@ -852,94 +858,118 @@ impl<M: MemPort> Cpu<M> {
     // ---- pipeline phases -------------------------------------------------
 
     fn complete(&mut self) -> usize {
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        // Every event due this cycle at once: completions only set
-        // ready bits, unblock fetch and flush run-ahead state, none of
-        // which depends on the order within the cycle (the heap and
-        // wheel schedulers order ties differently and agree bitwise).
-        self.completions.drain_due(self.now, &mut due);
-        for &id in &due {
-            let d = &mut self.slab[id as usize];
-            debug_assert_eq!(d.state, InstState::Executing);
-            d.state = InstState::Done;
-            // Waiters anywhere in the queues may now be issuable:
-            // a written register invalidates the ready cursors.
-            self.rename.mark_ready(d.dst);
-            self.ready_event |= d.dst != READY;
-            if !d.mispredicted {
+        // Issue already made every result visible at its cycle (see
+        // [`Cpu::schedule`]); what is left is the count, which tells the
+        // issue scans that registers may have become ready, and the
+        // branches that resolve now.
+        let completed = self.completions.take_due(self.now);
+        if self.resolving != 0 {
+            self.resolve_branches();
+        }
+        completed
+    }
+
+    /// Unblock the fetch of every thread whose blocking branch completes
+    /// now (plus the redirect penalty).
+    fn resolve_branches(&mut self) {
+        let mut due = self.resolving;
+        while due != 0 {
+            let tid = due.trailing_zeros() as usize;
+            due &= due - 1;
+            let t = &mut self.threads[tid];
+            if t.resolve_at > self.now {
                 continue;
             }
-            // Branch resolution unblocks fetch (plus redirect penalty).
-            let tid = usize::from(d.tid);
-            let t = &mut self.threads[tid];
-            if t.blocked_on_branch == Some(id) {
-                t.blocked_on_branch = None;
-                t.fetch_blocked_until = self.now + self.config.mispredict_penalty;
-                // A redirect discards the thread's run-ahead state: the
-                // buffered vector data is stale, so its loads re-issue
-                // on the demand path.
-                if self.config.decouple {
-                    self.vfetch_flush(tid);
-                }
+            self.resolving &= !(1 << tid);
+            t.blocked_on_branch = None;
+            t.fetch_blocked_until = self.now + self.config.mispredict_penalty;
+            // A redirect discards the thread's run-ahead state: the
+            // buffered vector data is stale, so its loads re-issue on
+            // the demand path.
+            if self.config.decouple {
+                self.vfetch_flush(tid);
             }
         }
-        let processed = due.len();
-        self.due = due;
-        processed
+    }
+
+    /// Time an instruction that issues now and completes at `due`: its
+    /// destination reads as ready from `due` on, commit may retire it
+    /// from `due` on, and the completion is counted at `due`. If fetch
+    /// is blocked on it, its thread resolves at `due`. It leaves the
+    /// thread's not-yet-issued counts.
+    #[inline(always)]
+    fn schedule(&mut self, id: u32, due: Cycle) {
+        let d = &mut self.slab[id as usize];
+        d.state = InstState::Executing;
+        d.done_at = due;
+        self.rename.set_ready_at(d.dst, due);
+        self.completions.push(due);
+        let tid = usize::from(d.tid);
+        self.head_mask |= 1 << tid;
+        let (mispredicted, equiv) = (d.mispredicted, u64::from(d.equiv));
+        let t = &mut self.threads[tid];
+        t.icount -= 1;
+        t.ocount -= equiv;
+        if mispredicted && t.blocked_on_branch == Some(id) {
+            t.resolve_at = due;
+            self.resolving |= 1 << tid;
+        }
     }
 
     fn commit(&mut self) -> usize {
         let n = self.threads.len();
         let rob = self.config.sizing.rob_per_thread;
+        let now = self.now;
         let mut budget = self.config.commit_width;
-        // Rotate the starting thread for fairness.
-        let mut tid = self.rr_cursor;
-        for _ in 0..n {
-            if budget == 0 {
-                break;
+        // Visit the threads whose head may be executing, rotating the
+        // starting thread for fairness.
+        let cursor = self.rr_cursor;
+        let mut order = rotate_threads(self.head_mask, cursor, n);
+        while order != 0 && budget > 0 {
+            let mut tid = cursor + order.trailing_zeros() as usize;
+            order &= order - 1;
+            if tid >= n {
+                tid -= n;
             }
             let t = &mut self.threads[tid];
-            if t.rob_len > 0 {
-                // The thread's ROB ring; the head is read in place and
-                // its slot is free once the head moves past it. Counts
-                // accumulate locally and reach the stats once per thread.
-                let ring = &self.slab[tid * rob..(tid + 1) * rob];
-                let limit = budget.min(t.rob_len);
-                let mut head = t.rob_head;
-                let (mut done, mut equiv_sum, mut branches, mut mispredicts) = (0, 0, 0, 0);
-                while done < limit {
-                    let d = &ring[head];
-                    if d.state != InstState::Done {
-                        break;
-                    }
-                    self.rename.release(d.prev_dst);
-                    let equiv = u64::from(d.equiv);
-                    equiv_sum += equiv;
-                    branches += u64::from(d.branch);
-                    // Only a branch can be mispredicted.
-                    mispredicts += u64::from(d.mispredicted);
-                    self.stats.record_commit_kind(d.kind, equiv);
-                    head += 1;
-                    if head == rob {
-                        head = 0;
-                    }
-                    done += 1;
+            // The thread's ROB ring; the head is read in place and its
+            // slot is free once the head moves past it. Counts
+            // accumulate locally and reach the stats once per thread.
+            let ring = &self.slab[tid * rob..(tid + 1) * rob];
+            let limit = budget.min(t.rob_len);
+            let mut head = t.rob_head;
+            let (mut done, mut equiv_sum, mut branches, mut mispredicts) = (0, 0, 0, 0);
+            while done < limit {
+                let d = &ring[head];
+                if d.state != InstState::Executing || d.done_at > now {
+                    break;
                 }
-                if done > 0 {
-                    t.rob_head = head;
-                    t.rob_len -= done;
-                    budget -= done;
-                    let ts = &mut self.stats.threads[tid];
-                    ts.committed += done as u64;
-                    ts.committed_equiv += equiv_sum;
-                    ts.branches += branches;
-                    ts.mispredicts += mispredicts;
+                self.rename.release(d.prev_dst);
+                let equiv = u64::from(d.equiv);
+                equiv_sum += equiv;
+                branches += u64::from(d.branch);
+                // Only a branch can be mispredicted.
+                mispredicts += u64::from(d.mispredicted);
+                self.stats.record_commit_kind(d.kind, equiv);
+                head += 1;
+                if head == rob {
+                    head = 0;
                 }
+                done += 1;
             }
-            tid += 1;
-            if tid == n {
-                tid = 0;
+            if done > 0 {
+                t.rob_head = head;
+                t.rob_len -= done;
+                budget -= done;
+                let ts = &mut self.stats.threads[tid];
+                ts.committed += done as u64;
+                ts.committed_equiv += equiv_sum;
+                ts.branches += branches;
+                ts.mispredicts += mispredicts;
+            }
+            // Only issue makes a head executing, and issue sets the bit.
+            if t.rob_len == 0 || ring[head].state != InstState::Executing {
+                self.head_mask &= !(1 << tid);
             }
         }
         self.config.commit_width - budget
@@ -1002,7 +1032,7 @@ impl<M: MemPort> Cpu<M> {
     /// of the queue in place (no scratch `Vec`, no O(n²) `retain`), and
     /// the scan resumes at [`Cpu::scan_from`] — the prefix before it is
     /// known to be waiting on source registers, which can only change
-    /// through a completion (tracked by `ready_event`). Readiness is
+    /// at a completion cycle (see [`Cpu::cycle_no_ff`]). Readiness is
     /// tested on the entry's own sources; only entries that are ready
     /// touch the slab.
     fn issue_queue(&mut self, q: QueueKind, width: usize) -> usize {
@@ -1025,14 +1055,13 @@ impl<M: MemPort> Cpu<M> {
             let e = queue[pos];
             pos += 1;
             self.debug_check_entry(&e);
-            if !self.rename.sources_ready(&e.srcs) {
+            if !self.rename.sources_ready(&e.srcs, self.now) {
                 queue[write] = e;
                 write += 1;
                 continue;
             }
             let d = &self.slab[e.id as usize];
             let (lat, slen) = (d.lat, d.slen);
-            let (tid, equiv) = (usize::from(d.tid), u64::from(d.equiv));
             let is_stream = media_gated && matches!(lat, LatClass::Stream | LatClass::StreamMul);
             if is_stream && self.media_unit_free > self.now {
                 cursor_stop.get_or_insert(write);
@@ -1045,11 +1074,7 @@ impl<M: MemPort> Cpu<M> {
             if is_stream {
                 self.media_unit_free = self.now + self.media_occupancy(slen);
             }
-            self.slab[e.id as usize].state = InstState::Executing;
-            self.completions.push(self.now + lat, e.id);
-            let t = &mut self.threads[tid];
-            t.icount -= 1;
-            t.ocount -= equiv;
+            self.schedule(e.id, self.now + lat);
             issued += 1; // hole closed by the compaction below
         }
         // Resume point: the first ready-but-blocked survivor, else the
@@ -1085,7 +1110,7 @@ impl<M: MemPort> Cpu<M> {
             let e = queue[pos];
             pos += 1;
             self.debug_check_entry(&e);
-            if !self.rename.sources_ready(&e.srcs) {
+            if !self.rename.sources_ready(&e.srcs, self.now) {
                 queue[write] = e;
                 write += 1;
                 continue;
@@ -1099,19 +1124,14 @@ impl<M: MemPort> Cpu<M> {
                 unreachable!("memory-queue instruction without an access: {:?}", d.op)
             };
             let tid = usize::from(d.tid);
-            let equiv = u64::from(d.equiv);
             let kind = d.access;
             let elems_before = d.mem_elems_issued;
-            let mut mem_done = d.mem_done;
+            let mut mem_done = d.done_at;
             // Decoupled drain: the run-ahead unit already issued the
             // whole stream, so execute consumes the buffered replies
             // in order — one issue slot, no memory port.
             if self.config.decouple && elems_before == mem.count {
-                self.slab[id as usize].state = InstState::Executing;
-                self.completions.push(mem_done.max(self.now + 1), id);
-                let t = &mut self.threads[tid];
-                t.icount -= 1;
-                t.ocount -= equiv;
+                self.schedule(id, mem_done.max(self.now + 1));
                 self.vfetch_forget(id);
                 self.stats.vfetch_drains += 1;
                 issued_count += 1;
@@ -1175,16 +1195,12 @@ impl<M: MemPort> Cpu<M> {
             }
             let d = &mut self.slab[id as usize];
             d.mem_elems_issued = elems;
-            d.mem_done = mem_done;
+            d.done_at = mem_done;
             if elems > elems_before {
                 issued_count += 1;
             }
             if elems == mem.count {
-                d.state = InstState::Executing;
-                self.completions.push(mem_done.max(self.now + 1), id);
-                let t = &mut self.threads[tid];
-                t.icount -= 1;
-                t.ocount -= equiv;
+                self.schedule(id, mem_done.max(self.now + 1));
                 // Fully issued: drop from the queue (hole compacted).
                 // A partially run-ahead stream finished on the demand
                 // path leaves the access queue here.
@@ -1254,7 +1270,7 @@ impl<M: MemPort> Cpu<M> {
             );
             let d = &mut self.slab[e.id as usize];
             d.mem_elems_issued += reply.issued;
-            d.mem_done = d.mem_done.max(reply.done_at);
+            d.done_at = d.done_at.max(reply.done_at);
             let stalled = d.mem_elems_issued < mem.count;
             if reply.issued > 0 {
                 self.vfetch[i].early = true;
@@ -1308,7 +1324,7 @@ impl<M: MemPort> Cpu<M> {
             debug_assert_eq!(d.state, InstState::InQueue);
             flushed += u64::from(d.mem_elems_issued);
             d.mem_elems_issued = 0;
-            d.mem_done = 0;
+            d.done_at = 0;
             self.vfetch[i].early = false;
         }
         if flushed > 0 {
@@ -1426,7 +1442,7 @@ impl<M: MemPort> Cpu<M> {
                     slen: inst.slen,
                     lat: class.lat,
                     srcs,
-                    mem_done: 0,
+                    done_at: 0,
                     mem: inst.mem,
                 };
                 t.dec_head += 1;
@@ -1440,7 +1456,10 @@ impl<M: MemPort> Cpu<M> {
                     });
                 }
                 if mispredicted {
+                    // A younger misprediction takes over the block: the
+                    // older branch no longer unblocks fetch.
                     t.blocked_on_branch = Some(id);
+                    self.resolving &= !(1 << tid);
                 }
                 dispatched += 1;
                 budget -= 1;
@@ -1458,52 +1477,46 @@ impl<M: MemPort> Cpu<M> {
     /// I-cache or exhausts a stream) — when `false`, fetch is fully
     /// stalled and contributes nothing until a wakeup time.
     fn fetch(&mut self) -> bool {
-        // Build the selection inputs and account stall reasons in one
-        // pass over the thread contexts.
-        let mut infos = std::mem::take(&mut self.fetch_infos);
-        infos.clear();
-        let mut any_runnable = false;
+        // Build the runnable set and account stall reasons in one pass
+        // over the thread contexts.
+        let mut runnable = 0u64;
         let (mut branch_stalls, mut icache_stalls) = (0, 0);
         // Non-short-circuit `&`: the per-thread conditions are data
         // dependent, so evaluating all of them beats branching on each.
-        for t in &self.threads {
+        for (tid, t) in self.threads.iter().enumerate() {
             let live = !t.exhausted;
             let branch_blocked = t.blocked_on_branch.is_some();
             let time_blocked = t.fetch_blocked_until > self.now;
-            let runnable = live
-                & !branch_blocked
-                & !time_blocked
-                & (t.decode_len() + self.config.fetch_width <= DECODE_BUF_CAP);
-            any_runnable |= runnable;
-            infos.push(ThreadFetchInfo {
-                runnable,
-                icount: t.icount,
-                ocount: t.ocount,
-                fetched_vector_last: t.fetched_vector_last,
-            });
+            let fits = t.decode_len() + self.config.fetch_width <= DECODE_BUF_CAP;
+            runnable |= u64::from(live & !branch_blocked & !time_blocked & fits) << tid;
             branch_stalls += u64::from(live & branch_blocked);
             icache_stalls += u64::from(live & !branch_blocked & time_blocked);
         }
         self.stats.fetch_branch_stalls += branch_stalls;
         self.stats.fetch_icache_stalls += icache_stalls;
-        let mut chosen = std::mem::take(&mut self.fetch_sel);
-        chosen.clear();
-        // The selection policies only ever pick runnable threads, so
-        // with none runnable the sort-and-pick is a no-op — skip it.
-        if any_runnable {
-            let vector_pipe_empty = self.queues[queue_idx(QueueKind::Simd)].is_empty();
-            select_threads_into(
+        let mut chosen = [0u8; MAX_THREADS];
+        // The selection only ever picks runnable threads, so with none
+        // runnable it is a no-op — skip it.
+        let n_chosen = if runnable == 0 {
+            0
+        } else {
+            let threads = &self.threads;
+            select_threads(
                 self.config.fetch_policy,
-                &infos,
+                runnable,
+                threads.len(),
                 self.rr_cursor,
-                self.config.fetch_threads,
-                vector_pipe_empty,
-                &mut chosen,
-            );
-        }
-        self.fetch_infos = infos;
-        let any_chosen = !chosen.is_empty();
-        for &tid in &chosen {
+                self.queues[queue_idx(QueueKind::Simd)].is_empty(),
+                |t| ThreadFetchInfo {
+                    icount: threads[t].icount,
+                    ocount: threads[t].ocount,
+                    fetched_vector_last: threads[t].fetched_vector_last,
+                },
+                &mut chosen[..self.config.fetch_threads.min(threads.len())],
+            )
+        };
+        for &tid in &chosen[..n_chosen] {
+            let tid = usize::from(tid);
             let t = &mut self.threads[tid];
             let mut any_vector = false;
             let (mut fetched, mut ocount) = (0, 0);
@@ -1540,12 +1553,11 @@ impl<M: MemPort> Cpu<M> {
             self.stats.fetched += fetched as u64;
             t.fetched_vector_last = any_vector;
         }
-        self.fetch_sel = chosen;
         self.rr_cursor += 1;
         if self.rr_cursor == self.threads.len() {
             self.rr_cursor = 0;
         }
-        any_chosen
+        n_chosen > 0
     }
 }
 

@@ -8,6 +8,7 @@
 //! what the Table-1 sizing sweep provisions against.
 
 use crate::config::SizingParams;
+use crate::Cycle;
 use medsim_isa::regs::ZERO_REG;
 use medsim_isa::{LogicalReg, RegClass};
 
@@ -20,6 +21,9 @@ pub type PhysReg = u16;
 /// hard-wired zero register, so an instruction's renamed sources always
 /// fill four slots and a readiness test is four loads.
 pub const READY: PhysReg = 0;
+
+/// Ready cycle of a register whose producer has not issued yet.
+const NOT_READY: Cycle = Cycle::MAX;
 
 /// Architectural registers per class, in [`class_idx`] order.
 const ARCH_COUNTS: [usize; 5] = [32, 32, 32, 16, 2];
@@ -52,7 +56,7 @@ fn class_idx(c: RegClass) -> usize {
     }
 }
 
-/// Rename state: per-thread tables + shared free lists + ready bits.
+/// Rename state: per-thread tables + shared free lists + ready cycles.
 #[derive(Debug)]
 pub struct RenameFile {
     /// `tables[tid * MAP_STRIDE + ARCH_BASE[class] + logical]` is the
@@ -66,9 +70,12 @@ pub struct RenameFile {
     free: Vec<PhysReg>,
     free_base: [usize; 6],
     free_len: [usize; 6],
-    /// Ready bit per flat physical register; entry [`READY`] is the
-    /// sentinel and always set.
-    ready: Vec<bool>,
+    /// Cycle from which each flat physical register's value is
+    /// available ([`NOT_READY`] until its producer issues). Entry
+    /// [`READY`] is the sentinel and holds 0; the last entry is a sink
+    /// that absorbs the writes aimed at [`READY`] by instructions
+    /// without a destination.
+    ready: Vec<Cycle>,
     /// Free-list index of each flat physical register (release returns
     /// a register to its own pool; [`READY`] goes to the [`SINK`]).
     class_of: Vec<u8>,
@@ -107,8 +114,8 @@ impl RenameFile {
         let mut free = vec![READY; total];
         let mut free_base = [0; 6];
         let mut free_len = [0; 6];
-        let mut ready = vec![false; total];
-        ready[usize::from(READY)] = true;
+        let mut ready = vec![NOT_READY; total + 1];
+        ready[usize::from(READY)] = 0;
         let mut class_of = vec![SINK as u8; total];
         let mut base = 1usize;
         for c in 0..5 {
@@ -134,7 +141,7 @@ impl RenameFile {
             for (c, &arch) in ARCH_COUNTS.iter().enumerate() {
                 for _ in 0..arch {
                     let p = rf.pop_free(c).expect("pool sized above");
-                    rf.ready[usize::from(p)] = true;
+                    rf.ready[usize::from(p)] = 0;
                     rf.tables.push(p);
                 }
             }
@@ -196,35 +203,40 @@ impl RenameFile {
     pub fn allocate(&mut self, tid: usize, reg: LogicalReg) -> Option<(PhysReg, PhysReg)> {
         debug_assert!(!reg.is_zero(), "the zero register is never renamed");
         let new = self.pop_free(class_idx(reg.class))?;
-        self.ready[usize::from(new)] = false;
+        self.ready[usize::from(new)] = NOT_READY;
         let slot = Self::slot(tid, reg);
         let prev = std::mem::replace(&mut self.tables[slot], new);
         Some((new, prev))
     }
 
-    /// Mark a physical register's value available.
+    /// Make a physical register's value available from cycle `at`
+    /// (its producer issued and completes then). Setting [`READY`] —
+    /// an instruction without a destination — writes the sink, taken
+    /// without a branch.
     #[inline]
-    pub fn mark_ready(&mut self, p: PhysReg) {
-        self.ready[usize::from(p)] = true;
+    pub fn set_ready_at(&mut self, p: PhysReg, at: Cycle) {
+        let sink = self.ready.len() - 1;
+        let i = if p == READY { sink } else { usize::from(p) };
+        self.ready[i] = at;
     }
 
-    /// Whether a physical register's value is available.
+    /// Whether a physical register's value is available at cycle `now`.
     #[must_use]
     #[inline]
-    pub fn is_ready(&self, p: PhysReg) -> bool {
-        self.ready[usize::from(p)]
+    pub fn is_ready(&self, p: PhysReg, now: Cycle) -> bool {
+        self.ready[usize::from(p)] <= now
     }
 
     /// Whether all four renamed sources (padded with [`READY`]) are
-    /// available.
+    /// available at cycle `now`.
     #[must_use]
     #[inline]
-    pub fn sources_ready(&self, srcs: &[PhysReg; 4]) -> bool {
+    pub fn sources_ready(&self, srcs: &[PhysReg; 4], now: Cycle) -> bool {
         let r = &self.ready;
-        r[usize::from(srcs[0])]
-            & r[usize::from(srcs[1])]
-            & r[usize::from(srcs[2])]
-            & r[usize::from(srcs[3])]
+        (r[usize::from(srcs[0])] <= now)
+            & (r[usize::from(srcs[1])] <= now)
+            & (r[usize::from(srcs[2])] <= now)
+            & (r[usize::from(srcs[3])] <= now)
     }
 
     /// Return a physical register to the free pool (at commit, the
@@ -259,10 +271,10 @@ mod tests {
         for tid in 0..2 {
             for i in 0..32 {
                 let p = f.lookup(tid, int(i));
-                assert!(f.is_ready(p), "t{tid} r{i}");
+                assert!(f.is_ready(p, 0), "t{tid} r{i}");
             }
             let p = f.lookup(tid, stream(15));
-            assert!(f.is_ready(p));
+            assert!(f.is_ready(p, 0));
         }
     }
 
@@ -278,11 +290,12 @@ mod tests {
     fn allocate_makes_not_ready_then_ready() {
         let mut f = file(1);
         let (new, prev) = f.allocate(0, int(3)).unwrap();
-        assert!(!f.is_ready(new));
-        assert!(f.is_ready(prev), "old value still readable");
+        assert!(!f.is_ready(new, 1_000));
+        assert!(f.is_ready(prev, 0), "old value still readable");
         assert_eq!(f.lookup(0, int(3)), new);
-        f.mark_ready(new);
-        assert!(f.is_ready(new));
+        f.set_ready_at(new, 7);
+        assert!(!f.is_ready(new, 6), "not before its producer completes");
+        assert!(f.is_ready(new, 7));
     }
 
     #[test]
@@ -326,13 +339,17 @@ mod tests {
         assert_ne!(f.lookup_src(0, Some(int(5))), READY);
         let (new, _) = f.allocate(0, int(3)).unwrap();
         let srcs = [new, READY, READY, READY];
-        assert!(!f.sources_ready(&srcs));
-        f.mark_ready(new);
-        assert!(f.sources_ready(&srcs));
+        assert!(!f.sources_ready(&srcs, 1_000));
+        f.set_ready_at(new, 3);
+        assert!(!f.sources_ready(&srcs, 2));
+        assert!(f.sources_ready(&srcs, 3));
+        // A write aimed at the sentinel lands in the sink.
+        f.set_ready_at(READY, 50);
+        assert!(f.is_ready(READY, 0));
         while let Some((p, _)) = f.allocate(0, int(4)) {
             assert_ne!(p, READY, "the sentinel is not in any pool");
         }
-        assert!(f.is_ready(READY));
+        assert!(f.is_ready(READY, 0));
     }
 
     #[test]

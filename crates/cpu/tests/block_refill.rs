@@ -8,7 +8,7 @@
 
 use medsim_cpu::config::DEFAULT_DECOUPLE_DEPTH;
 use medsim_cpu::events::DEFAULT_WHEEL_SLOTS;
-use medsim_cpu::{Cpu, CpuConfig, SchedulerKind};
+use medsim_cpu::{Cpu, CpuConfig};
 use medsim_isa::Inst;
 use medsim_mem::{HierarchyKind, MemConfig, MemSystem};
 use medsim_workloads::trace::{InstSource, SimdIsa, VecSource};
@@ -84,7 +84,6 @@ fn run(
 
 fn config(isa: SimdIsa, decouple: bool) -> CpuConfig {
     CpuConfig {
-        scheduler: SchedulerKind::Wheel,
         wheel_slots: DEFAULT_WHEEL_SLOTS,
         stream_batch: true,
         decouple,

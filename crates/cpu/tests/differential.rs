@@ -1,13 +1,12 @@
-//! Differential proof at the pipeline level: the calendar-queue
-//! scheduler and the batched stream-request path must be *invisible*
-//! optimizations. Every (scheduler × stream path) combination is run
-//! over stream-heavy synthetic programs on every cache hierarchy, and
-//! every statistic the machine keeps — pipeline counters, cache
-//! hit/miss/LRU-driven outcomes, MSHR/write-buffer/bank/DRAM counters —
-//! must be bit-for-bit identical to the seed configuration
-//! (binary heap + per-element requests).
+//! Differential proof at the pipeline level: the batched stream-request
+//! path and the completion wheel's horizon must be *invisible*
+//! optimizations. Both stream paths are run over stream-heavy synthetic
+//! programs on every cache hierarchy, and every statistic the machine
+//! keeps — pipeline counters, cache hit/miss/LRU-driven outcomes,
+//! MSHR/write-buffer/bank/DRAM counters — must be bit-for-bit identical
+//! to the seed's per-element requests.
 
-use medsim_cpu::{Cpu, CpuConfig, SchedulerKind};
+use medsim_cpu::{Cpu, CpuConfig};
 use medsim_isa::prelude::*;
 use medsim_mem::{HierarchyKind, MemConfig, MemSystem};
 use medsim_workloads::trace::{SimdIsa, VecStream};
@@ -47,13 +46,10 @@ pub fn program(seed: u64) -> Vec<Inst> {
 pub fn run(
     hierarchy: HierarchyKind,
     threads: usize,
-    scheduler: SchedulerKind,
     stream_batch: bool,
     wheel_slots: usize,
 ) -> String {
-    let config = CpuConfig::paper(threads, SimdIsa::Mom)
-        .with_scheduler(scheduler)
-        .with_stream_batch(stream_batch);
+    let config = CpuConfig::paper(threads, SimdIsa::Mom).with_stream_batch(stream_batch);
     let config = CpuConfig {
         wheel_slots,
         ..config
@@ -80,18 +76,12 @@ pub fn run(
 fn wheel_and_batched_streams_match_the_seed_bitwise() {
     for &hierarchy in &HierarchyKind::ALL {
         for threads in [1usize, 2, 4] {
-            let reference = run(hierarchy, threads, SchedulerKind::Heap, false, 256);
-            for (sched, batch) in [
-                (SchedulerKind::Wheel, true),
-                (SchedulerKind::Wheel, false),
-                (SchedulerKind::Heap, true),
-            ] {
-                let got = run(hierarchy, threads, sched, batch, 256);
-                assert_eq!(
-                    got, reference,
-                    "{hierarchy:?} x {threads} threads: {sched:?}/batch={batch} diverges"
-                );
-            }
+            let reference = run(hierarchy, threads, false, 256);
+            let got = run(hierarchy, threads, true, 256);
+            assert_eq!(
+                got, reference,
+                "{hierarchy:?} x {threads} threads: batched streams diverge"
+            );
         }
     }
 }
@@ -101,8 +91,8 @@ fn tiny_wheel_overflows_are_still_exact() {
     // A 64-slot wheel forces DRAM-class completions into the overflow
     // bucket constantly; results must not change.
     for &hierarchy in &[HierarchyKind::Conventional, HierarchyKind::Decoupled] {
-        let reference = run(hierarchy, 2, SchedulerKind::Heap, false, 256);
-        let small = run(hierarchy, 2, SchedulerKind::Wheel, true, 64);
+        let reference = run(hierarchy, 2, false, 256);
+        let small = run(hierarchy, 2, true, 64);
         assert_eq!(small, reference, "{hierarchy:?}: 64-slot wheel diverges");
     }
 }

@@ -1,82 +1,61 @@
-//! Property test: the calendar queue must be indistinguishable from a
-//! totally ordered reference model.
+//! Property test: the completion-count wheel must be indistinguishable
+//! from a plain priority queue of due cycles.
 //!
-//! The reference is a `BinaryHeap` over `Reverse((due, seq, id))` — a
-//! priority queue that breaks same-cycle ties by push order, i.e. the
-//! FIFO-within-a-cycle contract the wheel promises. Random interleaved
-//! push/advance/drain schedules (including far-future pushes that land
-//! in the overflow bucket, and long jumps that cross several wheel
-//! rotations at once) must drain identical events, with identical
+//! The reference is a `BinaryHeap` over `Reverse(due)`. Random
+//! interleaved push/advance/take schedules (including far-future pushes
+//! that land in the overflow bucket, and long jumps that cross several
+//! wheel rotations at once) must take identical counts, with identical
 //! `next_due` answers and identical lengths at every step.
-//!
-//! `drain_due` promises FIFO order within one due cycle and leaves the
-//! order across due cycles open (the pipeline drains every cycle, so it
-//! never sees more than one). When `now` jumps several cycles, the
-//! wheel's output is therefore grouped by due cycle — a stable sort,
-//! which keeps the within-cycle order it is checking — before it is
-//! compared with the model's total `(due, seq)` order.
 
-use medsim_cpu::EventQueue;
+use medsim_cpu::CountWheel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-/// Reference model: totally ordered by `(due, push sequence)`.
+/// Reference model: every pending due cycle, earliest on top.
 #[derive(Default)]
 struct Model {
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    seq: u64,
+    heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl Model {
-    fn push(&mut self, due: u64, id: u32) {
-        self.seq += 1;
-        self.heap.push(Reverse((due, self.seq, id)));
+    fn push(&mut self, due: u64) {
+        self.heap.push(Reverse(due));
     }
 
     fn next_due(&self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((d, _, _))| d)
+        self.heap.peek().map(|&Reverse(d)| d)
     }
 
-    /// Every event due at or before `now` as `(due, id)`, in
-    /// `(due, seq)` order.
-    fn drain_due(&mut self, now: u64) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        while let Some(&Reverse((d, _, id))) = self.heap.peek() {
-            if d > now {
-                break;
-            }
+    /// How many events are due at or before `now`, removing them.
+    fn take_due(&mut self, now: u64) -> usize {
+        let mut taken = 0;
+        while self.heap.peek().is_some_and(|&Reverse(d)| d <= now) {
             self.heap.pop();
-            out.push((d, id));
+            taken += 1;
         }
-        out
+        taken
     }
 }
 
-/// The queue under test and the model, driven in lock step.
+/// The wheel under test and the model, driven in lock step.
 struct Pair {
-    q: EventQueue,
+    q: CountWheel,
     model: Model,
-    /// Due cycle of every pushed id, to group the wheel's output.
-    due_of: HashMap<u32, u64>,
-    out: Vec<u32>,
 }
 
 impl Pair {
     fn new(wheel_slots: usize) -> Self {
         Pair {
-            q: EventQueue::new(wheel_slots),
+            q: CountWheel::new(wheel_slots),
             model: Model::default(),
-            due_of: HashMap::new(),
-            out: Vec::new(),
         }
     }
 
-    fn push(&mut self, due: u64, id: u32) {
-        self.q.push(due, id);
-        self.model.push(due, id);
-        self.due_of.insert(id, due);
+    fn push(&mut self, due: u64) {
+        self.q.push(due);
+        self.model.push(due);
     }
 
     fn next_due(&self) -> Option<u64> {
@@ -85,15 +64,11 @@ impl Pair {
         due
     }
 
-    /// Drain both at `now`, assert they agree (per due cycle, in FIFO
-    /// order) and leave the same queue behind, and return the drained
-    /// `(due, id)` pairs.
-    fn drain(&mut self, now: u64, ctx: &str) -> Vec<(u64, u32)> {
-        self.out.clear();
-        self.q.drain_due(now, &mut self.out);
-        let mut got: Vec<(u64, u32)> = self.out.iter().map(|&id| (self.due_of[&id], id)).collect();
-        got.sort_by_key(|&(due, _)| due);
-        let want = self.model.drain_due(now);
+    /// Take both at `now`, assert they agree and leave the same queue
+    /// behind, and return the count taken.
+    fn take(&mut self, now: u64, ctx: &str) -> usize {
+        let got = self.q.take_due(now);
+        let want = self.model.take_due(now);
         assert_eq!(got, want, "{ctx} at now={now}");
         assert_eq!(self.q.len(), self.model.heap.len(), "{ctx} len");
         self.next_due();
@@ -101,13 +76,12 @@ impl Pair {
     }
 }
 
-/// One random schedule: returns the full drain trace for cross-seed
-/// sanity.
-fn run_schedule(seed: u64, wheel_slots: usize, steps: usize) -> Vec<(u64, u32)> {
+/// One random schedule: returns the counts taken, step by step, for
+/// cross-seed sanity.
+fn run_schedule(seed: u64, wheel_slots: usize, steps: usize) -> Vec<usize> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut pair = Pair::new(wheel_slots);
     let mut now = 0u64;
-    let mut next_id = 0u32;
     let mut trace = Vec::new();
 
     for step in 0..steps {
@@ -117,12 +91,12 @@ fn run_schedule(seed: u64, wheel_slots: usize, steps: usize) -> Vec<(u64, u32)> 
         now += match rng.gen_range(0..10u32) {
             0..=5 => rng.gen_range(0..3u64),
             6..=7 => pair.next_due().map_or(1, |d| d.saturating_sub(now).max(1)),
-            8 => rng.gen_range(0..2 * wheel_slots as u64),
+            8 => rng.gen_range(0..3 * wheel_slots as u64),
             _ => rng.gen_range(0..8u64),
         };
 
-        // Drain everything due, in lock step.
-        trace.extend(pair.drain(now, &format!("step {step}")));
+        // Take everything due, in lock step.
+        trace.push(pair.take(now, &format!("step {step}")));
 
         // Push a burst of events: mostly short-horizon (FU latencies,
         // cache hits), some same-cycle ties, a tail far enough out to
@@ -134,18 +108,16 @@ fn run_schedule(seed: u64, wheel_slots: usize, steps: usize) -> Vec<(u64, u32)> 
                 9 => 0, // due immediately
                 _ => rng.gen_range(wheel_slots as u64..4 * wheel_slots as u64),
             };
-            next_id += 1;
-            pair.push(now + offset, next_id);
+            pair.push(now + offset);
         }
     }
 
-    // Final drain: everything left must come out in model order, one
-    // due cycle at a time.
+    // Final drain: everything left comes out one due cycle at a time.
     while let Some(due) = pair.next_due() {
         now = now.max(due);
-        let drained = pair.drain(now, "final drain");
-        assert!(!drained.is_empty(), "due event at {now}");
-        trace.extend(drained);
+        let taken = pair.take(now, "final drain");
+        assert!(taken > 0, "due event at {now}");
+        trace.push(taken);
     }
     assert!(pair.q.is_empty());
     trace
@@ -155,7 +127,10 @@ fn run_schedule(seed: u64, wheel_slots: usize, steps: usize) -> Vec<(u64, u32)> 
 fn random_schedules_match_the_heap_reference() {
     for seed in 0..20 {
         let trace = run_schedule(seed, 64, 400);
-        assert!(!trace.is_empty(), "seed {seed} exercised nothing");
+        assert!(
+            trace.iter().any(|&n| n > 0),
+            "seed {seed} exercised nothing"
+        );
     }
 }
 
@@ -166,24 +141,25 @@ fn default_sized_wheel_matches_too() {
     }
 }
 
+/// Counts have no order within a cycle, so "FIFO" holds trivially; the
+/// test checks that each burst drains whole at its cycle, rotation after
+/// rotation.
 #[test]
 fn same_cycle_bursts_pop_fifo_through_rotations() {
     let mut pair = Pair::new(64);
-    let mut id = 0u32;
     let mut now = 0;
     // Many rotations of dense same-cycle bursts.
     for round in 0..50u64 {
         let due = now + 1 + (round % 7);
         for _ in 0..8 {
-            id += 1;
-            pair.push(due, id);
+            pair.push(due);
         }
-        // A drain before the due cycle finds nothing; the due cycle
-        // drains the whole burst.
+        // A take before the due cycle finds nothing; the due cycle
+        // takes the whole burst.
         now = due - 1;
-        assert!(pair.drain(now, &format!("round {round}")).is_empty());
+        assert_eq!(pair.take(now, &format!("round {round}")), 0);
         now = due;
-        assert_eq!(pair.drain(now, &format!("round {round}")).len(), 8);
+        assert_eq!(pair.take(now, &format!("round {round}")), 8);
     }
     assert!(pair.q.is_empty());
 }
@@ -194,13 +170,33 @@ fn overflow_heavy_schedule_stays_ordered() {
     // jumps that span several due cycles at once.
     let mut pair = Pair::new(64);
     let mut rng = SmallRng::seed_from_u64(7);
-    for id in 1..=300u32 {
-        let due = rng.gen_range(500..4000u64);
-        pair.push(due, id);
+    for _ in 0..300 {
+        pair.push(rng.gen_range(500..4000u64));
     }
     let mut now = 0;
     while !pair.q.is_empty() {
         now += rng.gen_range(1..40u64);
-        pair.drain(now, "sweep");
+        pair.take(now, "sweep");
     }
+}
+
+#[test]
+fn jumps_across_rotations_take_wheel_and_overflow_alike() {
+    // Fill the whole horizon and the overflow, then take in jumps of
+    // one, several and many rotations of a 64-slot wheel.
+    let mut pair = Pair::new(64);
+    let mut rng = SmallRng::seed_from_u64(11);
+    let mut now = 0;
+    for jump in [1u64, 63, 64, 65, 130, 500] {
+        for _ in 0..200 {
+            pair.push(now + rng.gen_range(0..300u64));
+        }
+        now += jump;
+        pair.take(now, &format!("jump {jump}"));
+    }
+    while let Some(due) = pair.next_due() {
+        now = now.max(due);
+        pair.take(now, "final drain");
+    }
+    assert!(pair.q.is_empty());
 }

@@ -9,9 +9,9 @@
 //! [`SharedL2`] handle: a single-core `MemSystem` owns its backend
 //! exclusively (zero-overhead, exactly the pre-split layout), while the
 //! cores of a CMP share one through the machine layer's per-cycle bus
-//! arbiter — requests drain in fixed core order within a cycle, so the
-//! backend only ever sees a deterministic, monotonic access sequence
-//! regardless of how the host schedules the core worker threads.
+//! arbiter — one host thread steps the cores in fixed core order within
+//! a cycle, so the backend only ever sees a deterministic, monotonic
+//! access sequence.
 
 use crate::cache::Cache;
 use crate::config::MemConfig;
@@ -20,14 +20,14 @@ use crate::mshr::{MshrFile, MshrOutcome};
 use crate::stats::{CacheStats, MemStats};
 use crate::Cycle;
 use medsim_obs::EventKind;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A shared handle to one [`L2Backend`]: what the machine layer hands
-/// to every core's `MemSystem` in a CMP. Accesses are serialized by the
-/// machine's per-cycle bus arbiter (fixed core-order draining), so the
-/// mutex is never contended — it exists to make the sharing safe, not
-/// to schedule it.
-pub type SharedL2 = Arc<Mutex<L2Backend>>;
+/// to every core's `MemSystem` in a CMP. One host thread steps every
+/// core of a machine, in fixed core order, so the cores share the
+/// backend without a lock; each access borrows it for one call.
+pub type SharedL2 = Rc<RefCell<L2Backend>>;
 
 /// The L2 cache, its MSHRs and banks, and the DRAM channel — the levels
 /// of the hierarchy a CMP shares between cores.
@@ -62,7 +62,7 @@ impl L2Backend {
     /// A backend wrapped for sharing between the cores of a CMP.
     #[must_use]
     pub fn shared(config: &MemConfig) -> SharedL2 {
-        Arc::new(Mutex::new(L2Backend::new(config)))
+        Rc::new(RefCell::new(L2Backend::new(config)))
     }
 
     /// L2 cache statistics.
@@ -211,18 +211,5 @@ mod tests {
         let before = b.stats().bank_conflicts;
         let _ = b.access_sized(0, 0x1000, false, 32);
         assert_eq!(b.stats().bank_conflicts, before + 1);
-    }
-
-    #[test]
-    fn shared_handle_is_send_and_clonable() {
-        let shared = L2Backend::shared(&MemConfig::paper());
-        let other = Arc::clone(&shared);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut b = other.lock().expect("backend");
-                let _ = b.access_sized(0, 0x2000, false, 32);
-            });
-        });
-        assert_eq!(shared.lock().expect("backend").stats().dram_reads, 1);
     }
 }

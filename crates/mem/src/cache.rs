@@ -79,7 +79,7 @@ pub enum CacheModel {
 impl CacheModel {
     /// Model selected by the `MEDSIM_CACHE` environment variable
     /// (`ref` selects the reference model; anything else, the packed
-    /// planes). Read at construction time, like `MEDSIM_SCHED`.
+    /// planes). Read at construction time.
     #[must_use]
     pub fn from_env() -> Self {
         match std::env::var("MEDSIM_CACHE") {

@@ -324,7 +324,7 @@ impl MemSystem {
     fn with_backend<R>(&mut self, f: impl FnOnce(&mut L2Backend) -> R) -> R {
         match &mut self.backend {
             Backend::Owned(b) => f(b),
-            Backend::Shared(m) => f(&mut m.lock().expect("L2 backend poisoned")),
+            Backend::Shared(m) => f(&mut m.borrow_mut()),
         }
     }
 
@@ -332,7 +332,7 @@ impl MemSystem {
     fn backend_ref<R>(&self, f: impl FnOnce(&L2Backend) -> R) -> R {
         match &self.backend {
             Backend::Owned(b) => f(b),
-            Backend::Shared(m) => f(&m.lock().expect("L2 backend poisoned")),
+            Backend::Shared(m) => f(&m.borrow()),
         }
     }
 

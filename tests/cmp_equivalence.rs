@@ -31,7 +31,6 @@ fn pre_refactor_reference(config: &SimConfig, cache: &TraceCache) -> RunResult {
     let mem_config = MemConfig::paper_with(config.hierarchy);
     let cpu_config = CpuConfig::paper(config.threads, config.isa)
         .with_policy(config.fetch_policy)
-        .with_scheduler(config.scheduler)
         .with_stream_batch(config.stream_batch);
     let mut cpu = Cpu::new(cpu_config, MemSystem::new(mem_config));
 

@@ -3,8 +3,8 @@
 //! Off-path: `decouple = false` and the structurally decoupled but
 //! never-issuing `decouple = true, depth = 0` machine must both be
 //! bitwise the baseline across the hierarchy × threads × ISA grid —
-//! the same discipline the scheduler (`MEDSIM_SCHED=heap`) reference
-//! path gets.
+//! the same discipline the per-element stream path
+//! (`MEDSIM_STREAM_BATCH=0`) gets.
 //!
 //! On-path properties: the run-ahead distance never exceeds the
 //! configured window depth, redirect flushes leave no stale replies

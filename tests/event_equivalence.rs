@@ -1,13 +1,11 @@
-//! End-to-end differential proof over the figure-5 grid: the calendar
-//! queue and the batched stream-request path must produce bitwise
-//! identical [`RunResult`]s to the seed configuration (binary-heap
-//! completions + per-element memory requests) across the whole
+//! End-to-end differential proof over the figure-5 grid: the batched
+//! stream-request path must produce bitwise identical [`RunResult`]s to
+//! the seed's per-element memory requests across the whole
 //! ISA × thread-count × hierarchy space the paper evaluates, on the
 //! real synthesized workloads.
 
 use medsim::core::sim::{SimConfig, Simulation};
 use medsim::core::RunResult;
-use medsim::cpu::SchedulerKind;
 use medsim::mem::HierarchyKind;
 use medsim::workloads::trace::SimdIsa;
 use medsim::workloads::WorkloadSpec;
@@ -34,25 +32,19 @@ fn grid() -> Vec<SimConfig> {
     configs
 }
 
-fn run_all(scheduler: SchedulerKind, stream_batch: bool) -> Vec<RunResult> {
+fn run_all(stream_batch: bool) -> Vec<RunResult> {
     grid()
         .into_iter()
-        .map(|c| Simulation::run(&c.with_scheduler(scheduler).with_stream_batch(stream_batch)))
+        .map(|c| Simulation::run(&c.with_stream_batch(stream_batch)))
         .collect()
 }
 
 #[test]
-fn fig5_grid_is_bitwise_identical_across_schedulers_and_stream_paths() {
-    let reference = run_all(SchedulerKind::Heap, false);
-    for (sched, batch) in [
-        (SchedulerKind::Wheel, true),
-        (SchedulerKind::Wheel, false),
-        (SchedulerKind::Heap, true),
-    ] {
-        let got = run_all(sched, batch);
-        assert_eq!(
-            got, reference,
-            "{sched:?}/stream_batch={batch} diverges from the seed path"
-        );
-    }
+fn fig5_grid_is_bitwise_identical_across_stream_paths() {
+    let reference = run_all(false);
+    assert_eq!(
+        run_all(true),
+        reference,
+        "batched streams diverge from the seed path"
+    );
 }

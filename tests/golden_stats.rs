@@ -17,7 +17,7 @@ use medsim::core::sim::SimConfig;
 use medsim::core::TraceCache;
 use medsim::cpu::config::DEFAULT_DECOUPLE_DEPTH;
 use medsim::cpu::events::DEFAULT_WHEEL_SLOTS;
-use medsim::cpu::{Cpu, CpuConfig, SchedulerKind};
+use medsim::cpu::{Cpu, CpuConfig};
 use medsim::isa::prelude::*;
 use medsim::mem::{HierarchyKind, MemConfig, MemSystem};
 use medsim::workloads::trace::{InstSource, SimdIsa, StreamSource, VecStream};
@@ -68,7 +68,6 @@ fn synthetic_program(seed: u64) -> Vec<Inst> {
 /// pinned.
 fn cpu_config(isa: SimdIsa, threads: usize, decouple: bool) -> CpuConfig {
     CpuConfig {
-        scheduler: SchedulerKind::Wheel,
         wheel_slots: DEFAULT_WHEEL_SLOTS,
         stream_batch: true,
         decouple,
@@ -115,7 +114,6 @@ fn shape_run(
         cores,
         hierarchy,
         spec: SHAPE_SPEC,
-        scheduler: SchedulerKind::Wheel,
         stream_batch: true,
         decouple,
         decouple_depth: DEFAULT_DECOUPLE_DEPTH,

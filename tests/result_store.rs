@@ -16,7 +16,7 @@ use medsim::core::resultstore::workload_checksum;
 use medsim::core::runner::{run_grid_resulted, TraceCache};
 use medsim::core::sim::{SimConfig, Simulation};
 use medsim::core::{ResultCache, ResultKey, ResultStore};
-use medsim::cpu::{FetchPolicy, SchedulerKind};
+use medsim::cpu::FetchPolicy;
 use medsim::isa::prelude::*;
 use medsim::mem::{HierarchyKind, MemConfig};
 use medsim::trace::PackedTrace;
@@ -139,15 +139,13 @@ fn every_identity_knob_perturbs_the_key() {
         .with_cores(1)
         .with_hierarchy(HierarchyKind::Conventional)
         .with_policy(FetchPolicy::RoundRobin)
-        .with_scheduler(SchedulerKind::Wheel)
         .with_spec(spec());
     let key_of = |c: &SimConfig| ResultKey::with_parts(c, WHEEL, WORKLOAD);
     let base_key = key_of(&base);
     assert_eq!(base_key, key_of(&base.clone()), "re-hash is stable");
 
     // One mutation per SimConfig field (every EnvKnobs-backed knob —
-    // scheduler, stream_batch, decouple, decouple_depth —
-    // included; wheel_slots, the one knob SimConfig does not carry, is
+    // stream_batch, decouple, decouple_depth — included; wheel_slots, the one knob SimConfig does not carry, is
     // covered below via the explicit parameter).
     type KnobFlip = (&'static str, Box<dyn Fn(&mut SimConfig)>);
     let mutations: Vec<KnobFlip> = vec![
@@ -176,7 +174,6 @@ fn every_identity_knob_perturbs_the_key() {
             "max_stream_len",
             Box::new(|c| c.max_stream_len = c.max_stream_len.wrapping_sub(1)),
         ),
-        ("scheduler", Box::new(|c| c.scheduler = SchedulerKind::Heap)),
         (
             "stream_batch",
             Box::new(|c| c.stream_batch = !c.stream_batch),
