@@ -21,8 +21,9 @@
 //!   insts/sec;
 //! * `packed_block_decode` — the same trace through
 //!   [`PackedStream::next_block_into`] (whole blocks into a reused
-//!   buffer, memoized word decode) — the decoder the CPU model
-//!   actually drives, printed against the per-inst row;
+//!   buffer, each instruction a copy of its table template) — the
+//!   decoder the CPU model actually drives, printed against the
+//!   per-inst row;
 //! * `stream_batch` — a stream-heavy SMT+MOM run with the batched
 //!   `request_stream` path (the default), printed against the
 //!   per-element reference path;

@@ -82,9 +82,9 @@ impl ResultKey {
     /// (enums as tags, floats as raw bits), the resolved [`MemConfig`]
     /// (ablation override when present, else the paper hierarchy's
     /// defaults — resolved exactly as the machine layer does), the
-    /// derived [`CpuConfig`] including the process-frozen
-    /// `MEDSIM_WHEEL_SLOTS` horizon, and the combined packed-trace
-    /// checksum of the eight program slots. Like
+    /// derived [`CpuConfig`] except the `MEDSIM_WHEEL_SLOTS` horizon
+    /// (it sizes the completion wheel and cannot change a result), and
+    /// the combined packed-trace checksum of the eight program slots. Like
     /// [`medsim_trace::TraceKey::content_hash`], the format version is
     /// deliberately *not* hashed: a key must map to the same file
     /// across format bumps so the header check can self-heal stale
@@ -105,8 +105,9 @@ impl ResultKey {
 
     /// [`ResultKey::of`] with the two non-`SimConfig` inputs — the
     /// completion-wheel horizon and the combined workload checksum —
-    /// supplied explicitly, so property tests can prove each
-    /// participates in the hash without mutating process state.
+    /// supplied explicitly, so property tests can prove the checksum
+    /// participates in the hash and the horizon does not, without
+    /// mutating process state.
     ///
     /// # Panics
     ///
@@ -151,7 +152,7 @@ impl ResultKey {
         // The derived per-core pipeline, built exactly as
         // machine::build_cores does, with the completion-wheel horizon
         // (the one EnvKnobs field SimConfig does not carry) overridden
-        // by the caller.
+        // by the caller; `hash_cpu` leaves it out.
         let mut cpu = CpuConfig::paper(config.threads, config.isa)
             .with_policy(config.fetch_policy)
             .with_stream_batch(config.stream_batch)
@@ -714,7 +715,11 @@ fn hash_cpu(h: &mut Fnv, cpu: &CpuConfig) {
         lat_fp_mul,
         lat_fp_div,
         lat_simd_mul,
-        wheel_slots,
+        // The wheel horizon only sizes the completion-count array: a
+        // run's result is the same at any horizon
+        // (`tiny_wheel_overflows_are_still_exact`), so hashing it would
+        // only orphan stored results when the knob changes.
+        wheel_slots: _,
         stream_batch,
         decouple,
         decouple_depth,
@@ -766,7 +771,6 @@ fn hash_cpu(h: &mut Fnv, cpu: &CpuConfig) {
     ] {
         h.u64(*v);
     }
-    h.usz(*wheel_slots);
     h.u8(u8::from(*stream_batch));
     h.u8(u8::from(*decouple));
     h.usz(*decouple_depth);

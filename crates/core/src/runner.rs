@@ -12,10 +12,12 @@
 //! [`WorkloadSpec`] consume the same eight program traces, and trace
 //! generation is a large fraction of small-scale runs. The cache holds
 //! each trace as an [`Arc`]`<`[`PackedTrace`]`>` — the compact
-//! `medsim-trace` encoding at roughly a quarter of the 64 B/inst cost of
-//! the former `Vec<Inst>`, which raises the cacheable scale ~4× under
-//! the same budget — keyed by `(slot, isa, spec)` and replayed through
-//! the chunked [`PackedStream`] decoder.
+//! `medsim-trace` encoding at about an eighth of the 64 B/inst cost of
+//! the former `Vec<Inst>` (scale 2e-4), which raises the cacheable
+//! scale accordingly under the same budget — keyed by
+//! `(slot, isa, spec)`. Every
+//! consumer, the one whose miss synthesized the trace included,
+//! replays it through the chunked [`PackedStream`] decoder.
 //!
 //! The cache also layers over the **persistent on-disk trace store**
 //! ([`TraceStore`]): when `MEDSIM_TRACE_DIR` is set, misses read through
@@ -43,11 +45,8 @@
 use crate::metrics::RunResult;
 use crate::resultstore::ResultCache;
 use crate::sim::{SimConfig, Simulation};
-use medsim_isa::Inst;
 use medsim_trace::{PackedStream, PackedTrace, StoreStats, TraceKey, TraceStore};
-use medsim_workloads::trace::{
-    BlockStream, InstSource, InstStream, SimdIsa, StreamIter, VecSource,
-};
+use medsim_workloads::trace::{BlockStream, InstSource, InstStream, SimdIsa, StreamIter};
 use medsim_workloads::{Workload, WorkloadSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -63,9 +62,9 @@ const DEFAULT_BYTE_BUDGET: u64 = 256 * 1024 * 1024;
 const UNPACKED_BYTES_PER_INST: u64 = 64;
 
 /// Conservative packed-size estimate used for budget admission before a
-/// trace is synthesized (the real suite averages ~10–12 B/inst; the
-/// acceptance tests pin ≤ 16).
-const EST_PACKED_BYTES_PER_INST: f64 = 16.0;
+/// trace is synthesized (the real suite averages ~8 resident B/inst at
+/// scale 2e-4, table included; the acceptance tests pin ≤ 10).
+const EST_PACKED_BYTES_PER_INST: f64 = 10.0;
 
 /// Counters describing the cache's behavior, including the on-disk
 /// store layer (zeros when no store is configured).
@@ -245,20 +244,14 @@ impl TraceCache {
         }
         // Resolve the miss outside the lock: store reads and synthesis
         // can take a while and other workers may need other traces.
-        let (trace, materialized) = self.load_or_synthesize(&workload, &key, slot, isa);
+        let trace = self.load_or_synthesize(&workload, &key, slot, isa);
         let mut map = self.map.lock().expect("trace cache poisoned");
         let entry = map.entry(key).or_insert_with(|| {
             self.bytes_used
                 .fetch_add(trace.packed_bytes() as u64, Ordering::Relaxed);
-            Arc::clone(&trace)
+            trace
         });
-        // On a synthesis miss the instructions were materialized to be
-        // packed; hand them to this first consumer directly (memcpy
-        // block replay) instead of round-tripping through the decoder.
-        match materialized {
-            Some(insts) => Box::new(VecSource::new(insts)),
-            None => Box::new(PackedStream::new(Arc::clone(entry))),
-        }
+        Box::new(PackedStream::new(Arc::clone(entry)))
     }
 
     /// [`TraceCache::source_for`] as a per-instruction stream
@@ -278,29 +271,30 @@ impl TraceCache {
     }
 
     /// Store read-through, falling back to synthesis plus write-back.
-    /// Synthesis also returns the materialized instructions so the
-    /// caller can serve the first consumer without a decode pass.
+    /// Synthesis packs straight from the generator stream: no
+    /// `Vec<Inst>` of the program is ever materialized.
     fn load_or_synthesize(
         &self,
         workload: &Workload,
         key: &TraceKey,
         slot: usize,
         isa: SimdIsa,
-    ) -> (Arc<PackedTrace>, Option<Vec<Inst>>) {
+    ) -> Arc<PackedTrace> {
         if let Some(store) = &self.store {
             if let Some(trace) = store.load(key) {
-                return (Arc::new(trace), None);
+                return Arc::new(trace);
             }
         }
         self.synthesized.fetch_add(1, Ordering::Relaxed);
-        let insts: Vec<Inst> = StreamIter(workload.stream_for_slot(slot, isa)).collect();
-        let trace = Arc::new(PackedTrace::pack(insts.iter().copied()));
+        let trace = Arc::new(PackedTrace::pack(StreamIter(
+            workload.stream_for_slot(slot, isa),
+        )));
         if let Some(store) = &self.store {
             // Write-back failures are non-fatal: the store is a cache,
             // and its `io_errors` counter records the event.
             let _ = store.store(key, &trace);
         }
-        (trace, Some(insts))
+        trace
     }
 
     /// Stable content checksum of the packed trace for `(spec, slot,
@@ -348,7 +342,7 @@ impl TraceCache {
         // resident when admissible — whoever asked for the checksum is
         // about to run (or hit the result cache for) this very config.
         let workload = Workload::new(*spec);
-        let (trace, _) = self.load_or_synthesize(&workload, key, slot, isa);
+        let trace = self.load_or_synthesize(&workload, key, slot, isa);
         let sum = trace.content_checksum();
         if self.enabled && self.admits(spec, slot, isa) {
             let mut map = self.map.lock().expect("trace cache poisoned");
@@ -406,7 +400,7 @@ impl TraceCache {
             }
             if self.admits(spec, slot, isa) {
                 let workload = Workload::new(*spec);
-                let (trace, _) = self.load_or_synthesize(&workload, key, slot, isa);
+                let trace = self.load_or_synthesize(&workload, key, slot, isa);
                 let total = trace.equiv_total();
                 let mut map = self.map.lock().expect("trace cache poisoned");
                 map.entry(*key).or_insert_with(|| {
@@ -602,7 +596,7 @@ mod tests {
         let cache = TraceCache::from_env();
         assert!(
             !cache.admits(&spec, 0, SimdIsa::Mmx),
-            "full-scale mpeg2enc (~640M insts, ~10 GB packed) must stream"
+            "full-scale mpeg2enc (~640M insts, ~6 GB packed) must stream"
         );
         assert!(cache.admits(&tiny(), 0, SimdIsa::Mmx));
     }
@@ -617,7 +611,7 @@ mod tests {
         let one_trace_bytes = probe.stats().bytes_used;
         assert!(one_trace_bytes > 0);
 
-        // Admission uses the conservative 16 B/inst estimate, inserts
+        // Admission uses the conservative 10 B/inst estimate, inserts
         // account actual packed bytes; a budget of (estimate + half a
         // trace) admits exactly one.
         let estimate = (Workload::slot_benchmark(0).paper_minsts(SimdIsa::Mmx)
@@ -704,7 +698,7 @@ mod tests {
     #[test]
     fn estimate_fits_but_real_size_overshoots_the_budget() {
         // At microscopic scales the admission estimate (paper Table-3
-        // counts x scale x 16 B) is a handful of bytes, but generators
+        // counts x scale x 10 B) is a handful of bytes, but generators
         // floor at one work unit, so the real packed trace is orders of
         // magnitude bigger. Admission is by estimate (the trace does
         // not exist yet); the insert then accounts *actual* bytes, so

@@ -377,6 +377,29 @@ struct QueueEntry {
     srcs: [PhysReg; 4],
 }
 
+/// Keep `e`, just read from `queue[pos - 1]`, at the compaction point
+/// `write` of an issue scan. Until an entry leaves the queue,
+/// `write == pos - 1` and `e` is already in place.
+#[inline]
+fn keep_entry(queue: &mut [QueueEntry], write: &mut usize, pos: usize, e: QueueEntry) {
+    if *write + 1 != pos {
+        queue[*write] = e;
+    }
+    *write += 1;
+}
+
+/// Close the holes the issued entries of a scan left: slide the
+/// unexamined tail `pos..` down to `write`. Nothing moves when no entry
+/// left the queue.
+#[inline]
+fn close_holes(queue: &mut Vec<QueueEntry>, write: usize, pos: usize) {
+    if write != pos {
+        let len = queue.len();
+        queue.copy_within(pos..len, write);
+        queue.truncate(write + (len - pos));
+    }
+}
+
 /// One hardware context. `repr(C)` keeps the counters every stage
 /// reads each cycle together, followed by the decode-buffer and fetch
 /// positions, ahead of the block and the source.
@@ -1056,8 +1079,7 @@ impl<M: MemPort> Cpu<M> {
             pos += 1;
             self.debug_check_entry(&e);
             if !self.rename.sources_ready(&e.srcs, self.now) {
-                queue[write] = e;
-                write += 1;
+                keep_entry(&mut queue, &mut write, pos, e);
                 continue;
             }
             let d = &self.slab[e.id as usize];
@@ -1066,8 +1088,7 @@ impl<M: MemPort> Cpu<M> {
             if is_stream && self.media_unit_free > self.now {
                 cursor_stop.get_or_insert(write);
                 self.issue_blocked_ready = true;
-                queue[write] = e;
-                write += 1;
+                keep_entry(&mut queue, &mut write, pos, e);
                 continue;
             }
             let lat = self.exec_latency(lat, slen);
@@ -1081,8 +1102,7 @@ impl<M: MemPort> Cpu<M> {
         // first unexamined entry (which lands at `write` after the tail
         // is compacted down).
         let resume = cursor_stop.unwrap_or(write);
-        queue.copy_within(pos..len, write);
-        queue.truncate(write + (len - pos));
+        close_holes(&mut queue, write, pos);
         self.queues[qi] = queue;
         self.scan_from[qi] = resume;
         issued
@@ -1111,8 +1131,7 @@ impl<M: MemPort> Cpu<M> {
             pos += 1;
             self.debug_check_entry(&e);
             if !self.rename.sources_ready(&e.srcs, self.now) {
-                queue[write] = e;
-                write += 1;
+                keep_entry(&mut queue, &mut write, pos, e);
                 continue;
             }
             let id = e.id;
@@ -1212,13 +1231,11 @@ impl<M: MemPort> Cpu<M> {
                 // make sure the next scan starts at or before it.
                 cursor_stop.get_or_insert(write);
                 self.issue_blocked_ready = true;
-                queue[write] = e;
-                write += 1;
+                keep_entry(&mut queue, &mut write, pos, e);
             }
         }
         let resume = cursor_stop.unwrap_or(write);
-        queue.copy_within(pos..len, write);
-        queue.truncate(write + (len - pos));
+        close_holes(&mut queue, write, pos);
         self.queues[qi] = queue;
         self.scan_from[qi] = resume;
         issued_count

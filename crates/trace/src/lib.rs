@@ -6,22 +6,25 @@
 //! layers:
 //!
 //! * [`packed`] — [`PackedTrace`], a compact lossless encoding of an
-//!   instruction sequence: the 64-bit architectural word from
-//!   [`medsim_isa::encode`] per instruction plus a varint *sidecar*
-//!   carrying the dynamic fields (PC deltas, effective addresses as
-//!   delta-compressed varints, branch outcomes, stream shapes). The
-//!   suite averages well under 16 bytes per instruction — roughly 4×
-//!   denser than the 64-byte in-memory [`medsim_isa::Inst`];
+//!   instruction sequence: per instruction, a 32-bit index into the
+//!   trace's table of distinct 64-bit architectural words from
+//!   [`medsim_isa::encode`] (each kept once beside its decoded
+//!   template), plus a varint *sidecar* carrying the dynamic fields (PC
+//!   deltas, effective addresses as delta-compressed varints, branch
+//!   outcomes, stream shapes). At scale 2e-4 the suite averages ~8
+//!   resident bytes per instruction, table included — about 8× denser
+//!   than the 64-byte in-memory [`medsim_isa::Inst`];
 //! * [`store`] — [`TraceStore`], a write-once on-disk directory of
 //!   versioned, checksummed trace files keyed by `(slot, isa, spec)`
-//!   content hash. Corrupt, truncated or version-mismatched files are
-//!   detected and reported as misses (callers fall back to synthesis);
+//!   content hash. Files hold the full word plane; corrupt, truncated
+//!   or version-mismatched files are detected and reported as misses
+//!   (callers fall back to synthesis);
 //! * [`stream`] — [`PackedStream`], a block streaming decoder
 //!   implementing [`medsim_workloads::InstSource`] (and the
 //!   per-instruction [`medsim_workloads::InstStream`] view), so the CPU
 //!   model consumes packed traces directly without materializing
-//!   `Vec<Inst>`. Block decode memoizes the per-word architectural
-//!   decode ([`packed::DecodeCache`]) — loopy media traces replay at
+//!   `Vec<Inst>`. Decoding an instruction copies its table template
+//!   and patches in the sidecar fields — loopy media traces replay at
 //!   near-`memcpy` rates.
 //!
 //! `medsim_core::runner::TraceCache` layers the three: an in-memory
@@ -36,6 +39,6 @@ pub mod packed;
 pub mod store;
 pub mod stream;
 
-pub use packed::{DecodeCache, PackError, PackedTrace};
+pub use packed::{PackError, PackedTrace};
 pub use store::{unique_tmp_name, StoreStats, TraceKey, TraceStore, FORMAT_VERSION};
 pub use stream::PackedStream;

@@ -2,9 +2,14 @@
 //!
 //! Each instruction is stored as two pieces:
 //!
-//! * its **64-bit architectural word** from [`medsim_isa::encode`]
-//!   (opcode, registers, 14-bit immediate, stream length) in a dense
-//!   `Vec<u64>`;
+//! * a `u32` **index** into the trace's table of distinct 64-bit
+//!   architectural words from [`medsim_isa::encode`] (opcode,
+//!   registers, 14-bit immediate, stream length). The table keeps each
+//!   word once, in first-appearance order, beside its decoded [`Inst`]
+//!   template. Media traces are loop nests — a program has a few hundred
+//!   to a few thousand distinct words against tens of thousands to
+//!   millions of dynamic instructions — so the index plane costs 4 B per
+//!   instruction, and decoding one is a template copy;
 //! * a variable-length **sidecar record** carrying the dynamic trace
 //!   fields a timing simulator needs: the PC (delta-encoded, free for
 //!   sequential code), the effective address (delta against a
@@ -12,6 +17,11 @@
 //!   the branch outcome (one flag bit plus a target delta) and the
 //!   memory-access shape (size/stride/count, with the common cases
 //!   elided entirely).
+//!
+//! The index plane and table are the in-memory form only: the
+//! serialized form ([`PackedTrace::words`], the on-disk store and
+//! [`PackedTrace::content_checksum`]) is the full word plane, one
+//! `u64` per instruction, then the sidecar.
 //!
 //! The flags byte that leads every sidecar record:
 //!
@@ -31,7 +41,7 @@
 //! ride in the sidecar) — property-tested in this module and fuzzed in
 //! `tests/roundtrip.rs`.
 
-use medsim_isa::encode::{decode, decode_at, encode_lossy_imm, DecodeInstError};
+use medsim_isa::encode::{decode, encode_lossy_imm, DecodeInstError};
 use medsim_isa::{BranchInfo, Inst, MemRef};
 
 const HAS_MEM: u8 = 1 << 0;
@@ -72,32 +82,41 @@ impl core::fmt::Display for PackError {
 impl std::error::Error for PackError {}
 
 /// A losslessly packed instruction trace (see the module docs for the
-/// wire layout). Cheap to clone behind an `Arc`; decoded by
+/// layout). Cheap to clone behind an `Arc`; decoded by
 /// [`PackedTrace::iter`] or streamed by [`crate::PackedStream`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedTrace {
-    words: Vec<u64>,
+    /// Index plane: each instruction's entry in `table`.
+    index: Vec<u32>,
+    /// The distinct architectural words, in first-appearance order.
+    table: Vec<u64>,
+    /// The decoded template of each `table` word (dynamic fields
+    /// zeroed), indexed like `table`.
+    templates: Vec<Inst>,
     sidecar: Vec<u8>,
     /// Total equivalent instructions (Σ [`Inst::equivalent_count`]) —
-    /// a pure function of the word plane (op + stream length), carried
-    /// here so Table-3 / EIPC consumers never pay a sidecar decode
-    /// pass just to count.
+    /// a pure function of the words (op + stream length), carried here
+    /// so Table-3 / EIPC consumers never pay a sidecar decode pass just
+    /// to count.
     equiv_total: u64,
+    /// The first instruction whose word does not decode, and why.
+    /// Decoding ends there. Only payloads assembled by
+    /// [`PackedTrace::from_parts_trusted`] can hold such a word.
+    bad: Option<(usize, DecodeInstError)>,
 }
 
 impl PackedTrace {
     /// Pack an instruction sequence. Never fails: immediates that do
     /// not fit the architectural field are carried in the sidecar.
     pub fn pack(insts: impl IntoIterator<Item = Inst>) -> Self {
-        let mut words = Vec::new();
+        let insts = insts.into_iter();
+        let mut table = TableBuilder::with_capacity(insts.size_hint().0);
         let mut sidecar = Vec::new();
         let mut prev_pc = PC_INIT;
         let mut prev_addr = 0u64;
-        let mut equiv_total = 0u64;
         for inst in insts {
             let (word, raw_imm) = encode_lossy_imm(&inst);
-            words.push(word);
-            equiv_total += inst.equivalent_count();
+            table.push(word);
 
             let mut flags = 0u8;
             let pc_seq = inst.pc == prev_pc.wrapping_add(4);
@@ -152,21 +171,21 @@ impl PackedTrace {
             }
             prev_pc = inst.pc;
         }
-        PackedTrace {
-            words,
-            sidecar,
-            equiv_total,
-        }
+        table.finish(sidecar)
     }
 
-    /// Reassemble a trace from its serialized parts, fully validating
+    /// Reassemble a trace from its serialized parts (the word plane,
+    /// one word per instruction, and the sidecar), fully validating
     /// that the payload decodes.
     ///
     /// # Errors
     ///
     /// Returns a [`PackError`] if a word holds an unassigned opcode or a
     /// malformed register, or if the sidecar length does not match.
-    pub fn from_parts(words: Vec<u64>, sidecar: Vec<u8>) -> Result<Self, PackError> {
+    pub fn from_parts(
+        words: impl IntoIterator<Item = u64>,
+        sidecar: Vec<u8>,
+    ) -> Result<Self, PackError> {
         let trace = PackedTrace::from_parts_trusted(words, sidecar);
         let mut cursor = Cursor::new();
         for _ in 0..trace.len() {
@@ -180,22 +199,20 @@ impl PackedTrace {
 
     /// Assemble parts **without** the validating decode pass — for
     /// callers that have already integrity-checked the payload (the
-    /// store's header checksum). A structurally bad payload then
-    /// surfaces lazily as an early stream end rather than an error,
-    /// so this stays crate-internal.
-    pub(crate) fn from_parts_trusted(words: Vec<u64>, sidecar: Vec<u8>) -> Self {
-        // The word plane alone determines the equivalent total; an
-        // undecodable word (impossible for checksummed store payloads)
-        // counts as one, matching the stream's one-slot consumption.
-        let equiv_total = words
-            .iter()
-            .map(|&w| decode(w).map_or(1, |i| i.equivalent_count()))
-            .sum();
-        PackedTrace {
-            words,
-            sidecar,
-            equiv_total,
+    /// store's header checksum). Only the distinct words are decoded,
+    /// to build the table. A structurally bad payload then surfaces
+    /// lazily as an early stream end rather than an error, so this
+    /// stays crate-internal.
+    pub(crate) fn from_parts_trusted(
+        words: impl IntoIterator<Item = u64>,
+        sidecar: Vec<u8>,
+    ) -> Self {
+        let words = words.into_iter();
+        let mut table = TableBuilder::with_capacity(words.size_hint().0);
+        for word in words {
+            table.push(word);
         }
+        table.finish(sidecar)
     }
 
     /// Total equivalent instructions in the trace (scalar/MMX count 1,
@@ -209,35 +226,40 @@ impl PackedTrace {
     /// Number of instructions in the trace.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.index.len()
     }
 
     /// Whether the trace holds no instructions.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.index.is_empty()
     }
 
-    /// Total packed payload size in bytes (words plus sidecar).
+    /// Resident size in bytes: the index plane, the table's words and
+    /// templates, and the sidecar.
     #[must_use]
     pub fn packed_bytes(&self) -> usize {
-        self.words.len() * 8 + self.sidecar.len()
+        std::mem::size_of_val(self.index.as_slice())
+            + std::mem::size_of_val(self.table.as_slice())
+            + std::mem::size_of_val(self.templates.as_slice())
+            + self.sidecar.len()
     }
 
-    /// Amortized bytes per instruction (`0.0` for an empty trace).
+    /// Amortized resident bytes per instruction (`0.0` for an empty
+    /// trace).
     #[must_use]
     pub fn bytes_per_inst(&self) -> f64 {
-        if self.words.is_empty() {
+        if self.index.is_empty() {
             0.0
         } else {
-            self.packed_bytes() as f64 / self.words.len() as f64
+            self.packed_bytes() as f64 / self.index.len() as f64
         }
     }
 
-    /// The architectural-word plane (serialization).
-    #[must_use]
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    /// The architectural word of every instruction, in order — the
+    /// serialized word plane.
+    pub fn words(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.index.iter().map(|&ix| self.table[ix as usize])
     }
 
     /// The dynamic sidecar plane (serialization).
@@ -246,15 +268,15 @@ impl PackedTrace {
         &self.sidecar
     }
 
-    /// Stable FNV-1a checksum of the packed content (words, then
-    /// sidecar) — the same digest the on-disk store records in its file
-    /// header, computable without serializing. Content-addressed
-    /// consumers (the result cache) fold it into their keys, so any
-    /// behavioral change to trace generation invalidates downstream
-    /// entries automatically.
+    /// Stable FNV-1a checksum of the serialized content (the word
+    /// plane, then the sidecar) — the same digest the on-disk store
+    /// records in its file header, computable without serializing.
+    /// Content-addressed consumers (the result cache) fold it into
+    /// their keys, so any behavioral change to trace generation
+    /// invalidates downstream entries automatically.
     #[must_use]
     pub fn content_checksum(&self) -> u64 {
-        crate::store::payload_fnv(&self.words, &self.sidecar)
+        crate::store::payload_fnv(self.words(), &self.sidecar)
     }
 
     /// Borrowed decoding iterator over the instructions.
@@ -271,6 +293,15 @@ impl PackedTrace {
     #[must_use]
     pub fn unpack(&self) -> Vec<Inst> {
         self.iter().collect()
+    }
+
+    /// The error of the undecodable word at instruction `idx`, if that
+    /// is where decoding ends.
+    fn bad_word_at(&self, idx: usize) -> Result<(), PackError> {
+        match self.bad {
+            Some((at, e)) if at == idx => Err(PackError::Word(e)),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -308,71 +339,139 @@ impl Iterator for PackedIter<'_> {
     }
 }
 
-/// A direct-mapped memo of `word -> decoded Inst` for the block
-/// decoder. Media traces are loop nests: a handful of static
-/// instructions account for almost every dynamic instruction, so
-/// decoding becomes a hash, a 64-bit compare and a struct copy instead
-/// of a full field-by-field word decode. Keyed on the complete
-/// architectural word, so a hit is exact by construction.
-#[derive(Debug, Clone)]
-pub struct DecodeCache {
-    /// Tag plane: the architectural word held in each slot. The
-    /// sentinel `u64::MAX` carries an unassigned opcode, which the
-    /// encoder never emits, so it can never be hit.
-    words: Vec<u64>,
-    /// Value plane, indexed like `words` (split planes keep the tag
-    /// probe a dense 8-byte load).
-    insts: Vec<Inst>,
+/// Marks an empty [`TableBuilder`] slot. Never a table index: a table
+/// holds fewer than `u32::MAX` words.
+const EMPTY: u32 = u32::MAX;
+
+/// One open-addressing slot: a table word and its index.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    word: u64,
+    ix: u32,
 }
 
-/// Slots in a [`DecodeCache`] (power of two). The full suite has a few
-/// thousand distinct static instructions per program; 2048 slots keep
-/// direct-mapped conflicts rare at ~144 KiB — L2-resident, and far
-/// cheaper to miss into than a full word decode.
-const DECODE_CACHE_SLOTS: usize = 2048;
+/// Builds a trace's index plane and table. Word lookup is an
+/// open-addressing map with linear probing, whose slots carry the word
+/// itself, kept at most half full; it lives only while the trace is
+/// built.
+struct TableBuilder {
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the multiplicative hash keeps the top
+    /// bits.
+    shift: u32,
+    index: Vec<u32>,
+    table: Vec<u64>,
+    templates: Vec<Inst>,
+    /// Equivalent instructions of each table entry; an undecodable
+    /// word counts as one, like the stream slot it would have taken.
+    equiv: Vec<u64>,
+    equiv_total: u64,
+    bad: Option<(usize, DecodeInstError)>,
+}
 
-impl DecodeCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        let filler = decode(0).expect("the all-zero word decodes");
-        DecodeCache {
-            words: vec![u64::MAX; DECODE_CACHE_SLOTS],
-            insts: vec![filler; DECODE_CACHE_SLOTS],
+impl TableBuilder {
+    /// Initial slots (512 words at half load); a program's few hundred
+    /// to few thousand distinct words take at most a few doublings.
+    const INITIAL_SLOTS: usize = 1024;
+
+    fn with_capacity(insts: usize) -> Self {
+        TableBuilder {
+            slots: vec![Slot { word: 0, ix: EMPTY }; Self::INITIAL_SLOTS],
+            shift: 64 - Self::INITIAL_SLOTS.trailing_zeros(),
+            index: Vec::with_capacity(insts),
+            table: Vec::new(),
+            templates: Vec::new(),
+            equiv: Vec::new(),
+            equiv_total: 0,
+            bad: None,
         }
     }
 
-    /// The slot index for `word`.
     #[inline]
-    fn slot(word: u64) -> usize {
-        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as usize & (DECODE_CACHE_SLOTS - 1)
+    fn slot_of(&self, word: u64) -> usize {
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Push the decoded instruction for `word` (dynamic fields zeroed)
-    /// onto `out`, memoized: a hit is a 64-byte copy straight from the
-    /// value plane. A lookup *of* the sentinel word itself must not
-    /// false-hit the empty-slot tag — it takes the miss path, where
-    /// `decode` rejects it like the per-inst cursor would (reachable
-    /// only through `from_parts_trusted` payloads that passed an
-    /// external integrity check yet hold garbage).
+    /// Append the next instruction's word to the index plane, adding
+    /// it to the table on its first appearance.
     #[inline]
-    fn decode_push(&mut self, word: u64, out: &mut Vec<Inst>) -> Result<(), DecodeInstError> {
-        let slot = Self::slot(word);
-        if self.words[slot] == word && word != u64::MAX {
-            out.push(self.insts[slot]);
-            return Ok(());
+    fn push(&mut self, word: u64) {
+        let mask = self.slots.len() - 1;
+        let mut s = self.slot_of(word);
+        let ix = loop {
+            let slot = self.slots[s];
+            if slot.ix == EMPTY {
+                break self.insert(word, s);
+            }
+            if slot.word == word {
+                break slot.ix;
+            }
+            s = (s + 1) & mask;
+        };
+        self.equiv_total += self.equiv[ix as usize];
+        self.index.push(ix);
+    }
+
+    /// Add `word` (absent, whose probe ended at empty slot `s`) to the
+    /// table. The first undecodable word marks where decoding ends: no
+    /// instruction before it carries a bad word, since this is the
+    /// first appearance of each.
+    #[cold]
+    fn insert(&mut self, word: u64, s: usize) -> u32 {
+        assert!(
+            self.table.len() < EMPTY as usize,
+            "a trace holds fewer than 2^32 - 1 distinct words"
+        );
+        let ix = self.table.len() as u32;
+        let (template, equiv) = match decode(word) {
+            Ok(t) => (t, t.equivalent_count()),
+            Err(e) => {
+                self.bad.get_or_insert((self.index.len(), e));
+                // Never copied out: decoding stops at the bad word.
+                (decode(0).expect("the all-zero word decodes"), 1)
+            }
+        };
+        self.table.push(word);
+        self.templates.push(template);
+        self.equiv.push(equiv);
+        self.slots[s] = Slot { word, ix };
+        if self.table.len() * 2 > self.slots.len() {
+            self.grow();
         }
-        let inst = decode(word)?;
-        self.words[slot] = word;
-        self.insts[slot] = inst;
-        out.push(inst);
-        Ok(())
+        ix
     }
-}
 
-impl Default for DecodeCache {
-    fn default() -> Self {
-        DecodeCache::new()
+    /// Double the slots and re-insert every table word.
+    fn grow(&mut self) {
+        let n = self.slots.len() * 2;
+        self.slots = vec![Slot { word: 0, ix: EMPTY }; n];
+        self.shift -= 1;
+        let mask = n - 1;
+        for (ix, &word) in self.table.iter().enumerate() {
+            let mut s = self.slot_of(word);
+            while self.slots[s].ix != EMPTY {
+                s = (s + 1) & mask;
+            }
+            self.slots[s] = Slot {
+                word,
+                ix: ix as u32,
+            };
+        }
+    }
+
+    fn finish(mut self, mut sidecar: Vec<u8>) -> PackedTrace {
+        self.index.shrink_to_fit();
+        self.table.shrink_to_fit();
+        self.templates.shrink_to_fit();
+        sidecar.shrink_to_fit();
+        PackedTrace {
+            index: self.index,
+            table: self.table,
+            templates: self.templates,
+            sidecar,
+            equiv_total: self.equiv_total,
+            bad: self.bad,
+        }
     }
 }
 
@@ -401,16 +500,18 @@ impl Cursor {
     /// decoders as [`Cursor::decode_block`], so the two paths cannot
     /// drift.
     pub(crate) fn next(&mut self, trace: &PackedTrace) -> Result<Option<Inst>, PackError> {
-        let Some(&word) = trace.words.get(self.idx) else {
+        let Some(&ix) = trace.index.get(self.idx) else {
             return Ok(None);
         };
+        trace.bad_word_at(self.idx)?;
         let side = trace.sidecar.as_slice();
         let mut si = self.side;
         let mut prev_addr = self.prev_addr;
         let flags = *side.get(si).ok_or(PackError::Truncated)?;
         si += 1;
         let pc = read_pc(flags, self.prev_pc, side, &mut si)?;
-        let mut inst = decode_at(word, pc).map_err(PackError::Word)?;
+        let mut inst = trace.templates[ix as usize];
+        inst.pc = pc;
         apply_sidecar(&mut inst, flags, pc, side, &mut si, &mut prev_addr)?;
         self.side = si;
         self.prev_addr = prev_addr;
@@ -419,40 +520,39 @@ impl Cursor {
         Ok(Some(inst))
     }
 
-    /// Decode up to `max` instructions into `out` (appended), using
-    /// `cache` to memoize the per-word architectural decode. Returns
+    /// Decode up to `max` instructions into `out` (appended). Returns
     /// the number of instructions appended (0 at end of trace).
     /// Produces exactly the sequence repeated [`Cursor::next`] calls
-    /// would — the block shape and the decode cache are invisible.
+    /// would — the block shape is invisible, and an undecodable word
+    /// ends a block early, then fails the next call.
     ///
     /// This is the hot replay loop: cursor state lives in locals
-    /// (committed back only on success), instructions are written once
-    /// directly into `out` and patched in place, and the dominant path
-    /// (sequential PC, no sidecar records beyond the flags byte) is a
-    /// flag compare plus a memoized word decode — `memcpy` with
-    /// patches.
+    /// (committed back only on success), each instruction is its table
+    /// template copied once straight into `out` and patched in place,
+    /// and the dominant path (sequential PC, no sidecar records beyond
+    /// the flags byte) is a flag compare plus that copy.
     pub(crate) fn decode_block(
         &mut self,
         trace: &PackedTrace,
-        cache: &mut DecodeCache,
         out: &mut Vec<Inst>,
         max: usize,
     ) -> Result<usize, PackError> {
-        let words = trace.words.as_slice();
+        let templates = trace.templates.as_slice();
         let side = trace.sidecar.as_slice();
-        let n = max.min(words.len() - self.idx);
+        let stop = trace.bad.map_or(trace.len(), |(at, _)| at);
+        if self.idx == stop {
+            trace.bad_word_at(stop)?;
+        }
+        let n = max.min(stop - self.idx);
         out.reserve(n);
-        let end = self.idx + n;
-        let mut idx = self.idx;
         let mut si = self.side;
         let mut prev_pc = self.prev_pc;
         let mut prev_addr = self.prev_addr;
-        while idx < end {
-            let word = words[idx];
+        for &ix in &trace.index[self.idx..self.idx + n] {
             let flags = *side.get(si).ok_or(PackError::Truncated)?;
             si += 1;
             let pc = read_pc(flags, prev_pc, side, &mut si)?;
-            cache.decode_push(word, out).map_err(PackError::Word)?;
+            out.push(templates[ix as usize]);
             let inst = out.last_mut().expect("just pushed");
             inst.pc = pc;
             // Anything beyond a plain sequential instruction peels off
@@ -462,12 +562,11 @@ impl Cursor {
                 apply_sidecar(inst, flags, pc, side, &mut si, &mut prev_addr)?;
             }
             prev_pc = pc;
-            idx += 1;
         }
         // Commit the cursor only on success; an error leaves the trace
         // poisoned for this stream, which callers treat as end-of-trace
         // (packs built by `pack`/`from_parts` cannot get here).
-        self.idx = idx;
+        self.idx += n;
         self.side = si;
         self.prev_pc = prev_pc;
         self.prev_addr = prev_addr;
@@ -488,7 +587,7 @@ fn read_pc(flags: u8, prev_pc: u64, side: &[u8], si: &mut usize) -> Result<u64, 
 }
 
 /// Decode the RAW_IMM / HAS_BRANCH / HAS_MEM sidecar records onto a
-/// freshly word-decoded instruction — the single implementation both
+/// freshly copied table template — the single implementation both
 /// [`Cursor::next`] and [`Cursor::decode_block`] drive, so the per-inst
 /// and block paths decode bit-identically by construction.
 #[inline]
@@ -624,7 +723,8 @@ mod tests {
     #[test]
     fn sequential_stream_code_is_compact() {
         // A unit-stride MOM loop body: the dominant pattern of the
-        // suite must stay far below the 16 B/inst budget.
+        // suite must stay far below the 10 B/inst budget: a 4-byte
+        // index, a three-word table and a few sidecar bytes.
         let mut insts = Vec::new();
         let mut pc = 0x4000u64;
         let mut addr = 0x1_0000u64;
@@ -638,7 +738,7 @@ mod tests {
         let packed = PackedTrace::pack(insts.iter().copied());
         assert_eq!(packed.unpack(), insts);
         assert!(
-            packed.bytes_per_inst() < 11.0,
+            packed.bytes_per_inst() < 7.0,
             "loop code at {:.2} B/inst",
             packed.bytes_per_inst()
         );
@@ -681,9 +781,8 @@ mod tests {
         let walked: u64 = insts.iter().map(Inst::equivalent_count).sum();
         let packed = PackedTrace::pack(insts.iter().copied());
         assert_eq!(packed.equiv_total(), walked);
-        let reassembled =
-            PackedTrace::from_parts(packed.words().to_vec(), packed.sidecar().to_vec())
-                .expect("valid parts");
+        let reassembled = PackedTrace::from_parts(packed.words(), packed.sidecar().to_vec())
+            .expect("valid parts");
         assert_eq!(reassembled.equiv_total(), walked);
         assert_eq!(reassembled, packed);
     }
@@ -691,7 +790,7 @@ mod tests {
     #[test]
     fn from_parts_validates() {
         let packed = PackedTrace::pack(sample());
-        let ok = PackedTrace::from_parts(packed.words().to_vec(), packed.sidecar().to_vec())
+        let ok = PackedTrace::from_parts(packed.words(), packed.sidecar().to_vec())
             .expect("valid parts");
         assert_eq!(ok, packed);
 
@@ -699,7 +798,7 @@ mod tests {
         let mut short = packed.sidecar().to_vec();
         short.truncate(short.len() - 1);
         assert!(matches!(
-            PackedTrace::from_parts(packed.words().to_vec(), short),
+            PackedTrace::from_parts(packed.words(), short),
             Err(PackError::Truncated)
         ));
 
@@ -707,12 +806,12 @@ mod tests {
         let mut long = packed.sidecar().to_vec();
         long.push(0);
         assert!(matches!(
-            PackedTrace::from_parts(packed.words().to_vec(), long),
+            PackedTrace::from_parts(packed.words(), long),
             Err(PackError::TrailingBytes)
         ));
 
         // Unassigned opcode in the word plane.
-        let mut words = packed.words().to_vec();
+        let mut words: Vec<u64> = packed.words().collect();
         words[0] = 0x3ff;
         assert!(matches!(
             PackedTrace::from_parts(words, packed.sidecar().to_vec()),
@@ -720,11 +819,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn decode_block_matches_per_inst_cursor() {
-        // Includes branches, raw immediates, stores, streams — every
-        // sidecar record kind — plus a loopy tail that hammers the
-        // decode cache with repeated words.
+    /// The sample plus a loopy tail of repeated words: every sidecar
+    /// record kind, and a table much smaller than the trace.
+    fn loopy() -> Vec<Inst> {
         let mut insts = sample();
         for i in 0..2000u64 {
             insts.push(Inst::int_rri(IntOp::Addi, int(1), int(1), 1).at(0x5000 + i * 4));
@@ -732,43 +829,142 @@ mod tests {
                 insts.push(Inst::mom_load(stream(0), int(1), 0x2_0000 + i * 128, 8, 16).at(0x6000));
             }
         }
-        let packed = PackedTrace::pack(insts.iter().copied());
-        for block_size in [1usize, 7, 256, 4096] {
-            let mut cursor = Cursor::new();
-            let mut cache = DecodeCache::new();
-            let mut got = Vec::new();
-            loop {
-                let n = cursor
-                    .decode_block(&packed, &mut cache, &mut got, block_size)
-                    .expect("valid trace");
-                if n == 0 {
-                    break;
-                }
+        insts
+    }
+
+    /// Drain `trace` through the block decoder, `block_size` at a time,
+    /// until it ends (`None`) or fails.
+    fn decode_blocks(trace: &PackedTrace, block_size: usize) -> (Vec<Inst>, Option<PackError>) {
+        let mut cursor = Cursor::new();
+        let mut got = Vec::new();
+        loop {
+            match cursor.decode_block(trace, &mut got, block_size) {
+                Ok(0) => return (got, None),
+                Ok(_) => {}
+                Err(e) => return (got, Some(e)),
             }
+        }
+    }
+
+    #[test]
+    fn decode_block_matches_per_inst_cursor() {
+        let insts = loopy();
+        let packed = PackedTrace::pack(insts.iter().copied());
+        assert_eq!(packed.unpack(), insts, "per-inst cursor");
+        for block_size in [1usize, 7, 256, 4096] {
+            let (got, err) = decode_blocks(&packed, block_size);
+            assert_eq!(err, None, "block_size={block_size}");
             assert_eq!(got, insts, "block_size={block_size}");
         }
     }
 
     #[test]
-    fn sentinel_word_cannot_false_hit_the_decode_cache() {
-        // An all-ones word carries an unassigned opcode; it can only
-        // reach the decoder via `from_parts_trusted` (checksum-valid
-        // but garbage payload). The block path must reject it exactly
-        // like the per-inst cursor — not match the empty-slot sentinel
-        // tag and fabricate the filler instruction.
-        let garbage = PackedTrace::from_parts_trusted(vec![u64::MAX], vec![PC_SEQ]);
-        let mut per_inst = Cursor::new();
-        let want = per_inst.next(&garbage);
-        assert!(matches!(want, Err(PackError::Word(_))));
-        let mut block_cursor = Cursor::new();
-        let mut cache = DecodeCache::new();
-        let mut out = Vec::new();
-        let got = block_cursor.decode_block(&garbage, &mut cache, &mut out, 16);
-        assert!(
-            matches!(got, Err(PackError::Word(_))),
-            "block path must match the per-inst rejection, got {got:?}"
+    fn undecodable_word_ends_both_paths_without_a_fabricated_instruction() {
+        // An unassigned opcode can only reach the decoder via
+        // `from_parts_trusted` (a checksum-valid but garbage payload).
+        // Both paths must deliver the instructions before it, then
+        // fail with the word's error — never a filler template.
+        let good = PackedTrace::pack(sample());
+        let mut words: Vec<u64> = good.words().collect();
+        for at in [0usize, 3, words.len() - 1] {
+            let saved = words[at];
+            words[at] = u64::MAX;
+            let garbage =
+                PackedTrace::from_parts_trusted(words.iter().copied(), good.sidecar().to_vec());
+            words[at] = saved;
+
+            let mut per_inst = Cursor::new();
+            let mut want = Vec::new();
+            let want_err = loop {
+                match per_inst.next(&garbage) {
+                    Ok(Some(i)) => want.push(i),
+                    Ok(None) => panic!("at {at}: the bad word must fail the per-inst path"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(want_err, PackError::Word(_)),
+                "at {at}: {want_err:?}"
+            );
+            assert_eq!(
+                want,
+                sample()[..at],
+                "at {at}: instructions before the bad word"
+            );
+            for block_size in [1usize, 2, 16] {
+                let (got, got_err) = decode_blocks(&garbage, block_size);
+                assert_eq!(got_err, Some(want_err), "at {at}, block_size={block_size}");
+                assert_eq!(
+                    got, want,
+                    "at {at}, block_size={block_size}: no fabricated instruction"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_keeps_each_distinct_word_once_in_first_appearance_order() {
+        let insts = loopy();
+        let packed = PackedTrace::pack(insts.iter().copied());
+        let mut first_seen = Vec::new();
+        for w in packed.words() {
+            if !first_seen.contains(&w) {
+                first_seen.push(w);
+            }
+        }
+        assert_eq!(packed.table, first_seen);
+        assert_eq!(packed.table.len(), first_seen.len());
+        assert!(packed.table.len() < 16, "the loop repeats a few words");
+        for (w, t) in packed.table.iter().zip(&packed.templates) {
+            assert_eq!(decode(*w).as_ref(), Ok(t), "template of {w:#x}");
+        }
+        // Resident bytes: 4 B of index per instruction plus the table
+        // and the sidecar.
+        assert_eq!(
+            packed.packed_bytes(),
+            insts.len() * 4
+                + packed.table.len() * (8 + std::mem::size_of::<Inst>())
+                + packed.sidecar().len()
         );
-        assert!(out.is_empty(), "no fabricated instruction");
+    }
+
+    #[test]
+    fn table_growth_keeps_every_word() {
+        // More distinct words than the builder's initial slots hold at
+        // half load: the table must grow and still map every word.
+        let insts: Vec<Inst> = (0..5000i32)
+            .map(|i| Inst::int_rri(IntOp::Addi, int(1), int(2), i % 3000).at(4 * i as u64))
+            .collect();
+        let packed = PackedTrace::pack(insts.iter().copied());
+        assert_eq!(packed.table.len(), 3000);
+        assert_eq!(packed.unpack(), insts);
+    }
+
+    #[test]
+    fn words_round_trip_through_from_parts() {
+        for insts in [Vec::new(), sample(), loopy()] {
+            let packed = PackedTrace::pack(insts.iter().copied());
+            assert_eq!(packed.words().len(), insts.len());
+            let back = PackedTrace::from_parts(packed.words(), packed.sidecar().to_vec())
+                .expect("valid parts");
+            assert_eq!(back, packed);
+            assert_eq!(back.content_checksum(), packed.content_checksum());
+        }
+    }
+
+    #[test]
+    fn content_checksum_is_pinned() {
+        // The checksum digests the serialized word plane and sidecar,
+        // whatever the in-memory layout; result-cache keys fold it in,
+        // so a change here orphans every stored result.
+        assert_eq!(
+            PackedTrace::pack(sample()).content_checksum(),
+            0x6768_6522_688b_44a2
+        );
+        assert_eq!(
+            PackedTrace::pack(loopy()).content_checksum(),
+            0x13b9_e553_cc0b_707e
+        );
     }
 
     #[test]

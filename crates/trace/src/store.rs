@@ -15,6 +15,10 @@
 //!     32     —  payload: count × u64 words, then the sidecar bytes
 //! ```
 //!
+//! The file holds the full word plane, one word per instruction; a
+//! load rebuilds the trace's index plane and table of distinct words
+//! from it (see [`crate::packed`]).
+//!
 //! The store is a *cache*, never a source of truth: every load verifies
 //! magic, version, lengths and checksum, and any mismatch — a truncated
 //! file, flipped bits, a format bump — is reported as a miss (with a
@@ -259,7 +263,7 @@ enum ParseError {
 /// checksum [`serialize_file`] records in the header, shared with
 /// [`PackedTrace::content_checksum`] so content-addressed consumers
 /// agree with the on-disk format byte for byte.
-pub(crate) fn payload_fnv(words: &[u64], sidecar: &[u8]) -> u64 {
+pub(crate) fn payload_fnv(words: impl IntoIterator<Item = u64>, sidecar: &[u8]) -> u64 {
     let mut h = Fnv::new();
     for w in words {
         h.update(&w.to_le_bytes());
@@ -287,15 +291,14 @@ pub fn unique_tmp_name(file_name: &str) -> String {
 
 /// Serialize a trace with the versioned, checksummed header.
 fn serialize_file(trace: &PackedTrace) -> Vec<u8> {
-    let words = trace.words();
     let sidecar = trace.sidecar();
-    let mut out = Vec::with_capacity(HEADER_LEN + words.len() * 8 + sidecar.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + trace.len() * 8 + sidecar.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
     out.extend_from_slice(&(sidecar.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload_fnv(words, sidecar).to_le_bytes());
-    for w in words {
+    out.extend_from_slice(&trace.content_checksum().to_le_bytes());
+    for w in trace.words() {
         out.extend_from_slice(&w.to_le_bytes());
     }
     out.extend_from_slice(sidecar);
@@ -331,10 +334,10 @@ fn parse_file(bytes: &[u8]) -> Result<PackedTrace, ParseError> {
     let (word_part, side_part) = payload.split_at(words_bytes as usize);
     let words = word_part
         .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect();
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")));
     // The checksum above vouches for the payload; skip the validating
-    // decode pass so a warm load costs one decode, not two.
+    // decode pass, so a warm load decodes only the table's distinct
+    // words.
     Ok(PackedTrace::from_parts_trusted(words, side_part.to_vec()))
 }
 

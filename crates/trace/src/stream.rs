@@ -7,13 +7,13 @@
 //!
 //! The primary interface is [`PackedStream::next_block_into`]: a whole
 //! block of instructions decoded straight into a caller-owned, reused
-//! buffer. The decode loop memoizes the per-word architectural decode
-//! in a [`DecodeCache`] — media traces are loop nests, so nearly every
-//! dynamic instruction hits the memo and replay approaches a `memcpy`
-//! plus the sidecar's dynamic-field patches. The per-instruction
+//! buffer. Each instruction is a copy of its decoded template from the
+//! trace's table plus the sidecar's dynamic-field patches. A stream
+//! keeps no decode state beyond its cursor: every context replaying
+//! the same trace shares its one table. The per-instruction
 //! [`InstStream`] view remains for analysis consumers.
 
-use crate::packed::{Cursor, DecodeCache, PackedTrace};
+use crate::packed::{Cursor, PackedTrace};
 use medsim_isa::Inst;
 use medsim_workloads::trace::{InstSource, InstStream, BLOCK_INSTS};
 use std::sync::Arc;
@@ -23,7 +23,6 @@ use std::sync::Arc;
 pub struct PackedStream {
     trace: Arc<PackedTrace>,
     cursor: Cursor,
-    cache: DecodeCache,
     /// Buffer backing the per-instruction [`InstStream`] view.
     buf: Vec<Inst>,
     /// Read position inside `buf`.
@@ -37,7 +36,6 @@ impl PackedStream {
         PackedStream {
             trace,
             cursor: Cursor::new(),
-            cache: DecodeCache::new(),
             buf: Vec::new(),
             pos: 0,
         }
@@ -63,10 +61,7 @@ impl PackedStream {
             return true;
         }
         // Packs are validated at construction; decode cannot fail.
-        match self
-            .cursor
-            .decode_block(&self.trace, &mut self.cache, out, BLOCK_INSTS)
-        {
+        match self.cursor.decode_block(&self.trace, out, BLOCK_INSTS) {
             Ok(n) => n > 0,
             Err(e) => {
                 debug_assert!(false, "corrupt packed trace: {e}");
@@ -80,7 +75,7 @@ impl PackedStream {
         self.pos = 0;
         match self
             .cursor
-            .decode_block(&self.trace, &mut self.cache, &mut self.buf, BLOCK_INSTS)
+            .decode_block(&self.trace, &mut self.buf, BLOCK_INSTS)
         {
             Ok(_) => {}
             Err(e) => debug_assert!(false, "corrupt packed trace: {e}"),

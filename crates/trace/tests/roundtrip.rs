@@ -1,6 +1,7 @@
 //! Property/fuzz tests of the packed encoding: random instruction
 //! sequences round-trip bit-identically, and the real workload suite
-//! packs within the ≤ 16 B/inst budget the subsystem promises.
+//! packs within the ≤ 10 B/inst budget the trace cache's admission
+//! estimate assumes.
 
 use medsim_isa::prelude::*;
 use medsim_trace::{PackedStream, PackedTrace};
@@ -130,10 +131,12 @@ fn max_stream_len_and_all_register_classes_round_trip() {
     assert_eq!(packed.unpack(), insts);
 }
 
-/// Acceptance gate: ≤ 16 B/inst amortized over the paper's eight-program
-/// suite, under both ISAs, with a lossless round-trip of every stream.
+/// Acceptance gate: ≤ 10 resident B/inst (index plane, table and
+/// sidecar) amortized over the paper's eight-program suite, under both
+/// ISAs, with a lossless round-trip of every stream. The trace cache
+/// admits traces at this estimate, so it must stay conservative.
 #[test]
-fn suite_packs_under_16_bytes_per_inst() {
+fn suite_packs_under_10_bytes_per_inst() {
     let spec = WorkloadSpec {
         scale: 2e-4,
         seed: 0x5eed_2001,
@@ -160,7 +163,7 @@ fn suite_packs_under_16_bytes_per_inst() {
     let amortized = total_bytes as f64 / total_insts as f64;
     eprintln!("suite amortized: {amortized:.2} B/inst over {total_insts} insts");
     assert!(
-        amortized <= 16.0,
-        "packed suite at {amortized:.2} B/inst exceeds the 16 B budget"
+        amortized <= 10.0,
+        "packed suite at {amortized:.2} B/inst exceeds the 10 B budget"
     );
 }

@@ -5,9 +5,10 @@
 //!    wrong magic, bumped format version) fall back to simulation with
 //!    per-reason counters and self-heal on the next write-back.
 //! 3. Hash sensitivity: flipping *any* identity knob — every
-//!    `SimConfig` field, the mem-override contents, the process-frozen
-//!    wheel-slots horizon, the workload content checksum, any packed
-//!    trace byte — changes the `ResultKey`; re-hashing is stable.
+//!    `SimConfig` field, the mem-override contents, the workload
+//!    content checksum, any packed trace byte — changes the
+//!    `ResultKey`; the wheel-slots horizon, which cannot change a
+//!    result, does not; re-hashing is stable.
 //! 4. Multi-process safety: several processes hammering one store
 //!    directory never publish a torn file, never leave temp files, and
 //!    a second wave is served entirely from disk.
@@ -145,8 +146,9 @@ fn every_identity_knob_perturbs_the_key() {
     assert_eq!(base_key, key_of(&base.clone()), "re-hash is stable");
 
     // One mutation per SimConfig field (every EnvKnobs-backed knob —
-    // stream_batch, decouple, decouple_depth — included; wheel_slots, the one knob SimConfig does not carry, is
-    // covered below via the explicit parameter).
+    // stream_batch, decouple, decouple_depth — included; wheel_slots,
+    // the one knob SimConfig does not carry, is covered below via the
+    // explicit parameter).
     type KnobFlip = (&'static str, Box<dyn Fn(&mut SimConfig)>);
     let mutations: Vec<KnobFlip> = vec![
         ("isa", Box::new(|c| c.isa = SimdIsa::Mom)),
@@ -217,11 +219,13 @@ fn every_identity_knob_perturbs_the_key() {
         assert_ne!(key_of(&c), mem_key, "{label} must perturb the key");
     }
 
-    // The two non-SimConfig identity inputs.
-    assert_ne!(
+    // The two non-SimConfig inputs: the wheel horizon cannot change a
+    // result, so it stays out of the key; the workload checksum is
+    // identity.
+    assert_eq!(
         ResultKey::with_parts(&base, WHEEL + 1, WORKLOAD),
         base_key,
-        "wheel_slots participates"
+        "wheel_slots does not participate"
     );
     assert_ne!(
         ResultKey::with_parts(&base, WHEEL, WORKLOAD ^ 1),
